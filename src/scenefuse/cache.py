@@ -98,7 +98,10 @@ def load_cache(path: str, expect_dim: int | None = None) -> tuple[int, list[Feat
     records = []
     for i in range(count):
         label, path_len = struct.unpack("<II", take(8, f"record {i} header"))
-        rec_path = take(path_len, f"record {i} path").decode("utf-8")
+        try:
+            rec_path = take(path_len, f"record {i} path").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CacheFileError(f"{path}: record {i} path is not UTF-8") from None
         values = np.frombuffer(take(4 * dim, f"record {i} values"), dtype="<f4").copy()
         records.append(FeatureRecord(label=int(label), path=rec_path, values=values))
     if pos != len(data):

@@ -373,8 +373,12 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read an HDFM file; malformed content raises :class:`ModelFileError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ModelFileError(f"{path}: not UTF-8 text") from None
     if not lines or lines[0] != "HDFM 1":
         head = lines[0] if lines else ""
         raise ModelBadMagicError(f"{path}: bad header {head!r}, expected 'HDFM 1'")
@@ -383,7 +387,7 @@ def load_model(path: str) -> LinearModel:
         if i >= len(lines):
             raise ModelTruncatedError(f"{path}: missing {key} line")
         parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != key:
+        if len(parts) != 2 or parts[0] != key or not parts[1].isdecimal():
             raise ModelFileError(f"{path}: expected '{key} <value>', got {lines[i]!r}")
         return int(parts[1])
 
@@ -395,17 +399,23 @@ def load_model(path: str) -> LinearModel:
         raise ModelTruncatedError(f"{path}: {len(rows)} class lines, header says {k}")
     if len(rows) > k:
         raise ModelFileError(f"{path}: {len(rows)} class lines, header says {k}")
-    class_ids = []
-    weights = np.empty((k, dim))
-    biases = np.empty(k)
+    class_ids, biases, weights = [], [], []
     for row, line in enumerate(rows):
         parts = line.split()
         if len(parts) != 3 + dim or parts[0] != "class":
             raise ModelFileError(
                 f"{path}: class line {row} has {len(parts)} fields, expected {3 + dim}"
             )
-        class_ids.append(int(parts[1]))
-        biases[row] = float(parts[2])
-        weights[row] = [float(v) for v in parts[3:]]
-    return LinearModel(class_ids=tuple(class_ids), weights=weights, biases=biases,
-                       best_c=best_c)
+        try:
+            class_ids.append(int(parts[1]))
+            biases.append(float(parts[2]))
+            weights.append([float(v) for v in parts[3:]])
+        except ValueError as exc:
+            raise ModelFileError(f"{path}: class line {row}: {exc}") from None
+    # allocated only now, so a huge declared dim cannot outgrow the file
+    try:
+        return LinearModel(class_ids=tuple(class_ids),
+                           weights=np.array(weights, dtype=np.float64).reshape(k, dim),
+                           biases=np.array(biases, dtype=np.float64), best_c=best_c)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None

@@ -160,13 +160,11 @@ def _require_out(args) -> str:
     return out
 
 
-def _load_backends(args, need: str):
-    """Load the weight bundles a feature type needs; 'need' is op/ow/sp/sw/hdf."""
+def _load_backends(args, sources):
+    """Load only the weight bundles the given base-feature sources need."""
     from .pipeline import Backend
     from .weights import load_weights
 
-    want_object = need in ("hdf", "op", "ow")
-    want_scene = need in ("hdf", "sp", "sw")
     object_backend = scene_backend = None
 
     def build(kind: str, path: str) -> Backend:
@@ -174,13 +172,13 @@ def _load_backends(args, need: str):
         spec = _spec_for_bundle(bundle)
         return Backend(kind=kind, spec=spec, weights=bundle)
 
-    if want_object:
+    if "op" in sources or "ow" in sources:
         object_backend = build("object", _require_file(args.object_weights,
                                                        "--object-weights"))
-    if want_scene:
+    if "sp" in sources or "sw" in sources:
         scene_backend = build("scene", _require_file(args.scene_weights,
                                                      "--scene-weights"))
-    if want_object and want_scene and object_backend.spec != scene_backend.spec:
+    if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise CliConfigError("object and scene weight bundles have different shapes")
     return object_backend, scene_backend
 
@@ -255,50 +253,44 @@ def cmd_slice(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    import numpy as np
-
     from .cache import FeatureRecord, save_cache
     from .datasets import scan_dataset
+    from .experiment import FeatureConfig, config_matrix
     from .imageio import read_raster
-    from .pipeline import (extract_hdf, extract_part, extract_whole)
+    from .pipeline import extract_base_features
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
     feature_type = args.feature_type
-    object_backend, scene_backend = _load_backends(args, feature_type)
+    try:
+        config = FeatureConfig(feature_type,
+                               args.pool if feature_type == "hdf" else None)
+    except ValueError as exc:
+        raise CliConfigError(str(exc)) from None
+    object_backend, scene_backend = _load_backends(args, config.sources)
     manifest = scan_dataset(args.dataset)
     paths, labels = manifest.flat_paths_labels()
-
-    def one(raster) -> np.ndarray:
-        if feature_type == "hdf":
-            return extract_hdf(object_backend, scene_backend, raster, args.pool).values
-        if feature_type == "op":
-            return extract_part(object_backend, raster).values
-        if feature_type == "ow":
-            return extract_whole(object_backend, raster).values
-        if feature_type == "sp":
-            return extract_part(scene_backend, raster).values
-        return extract_whole(scene_backend, raster).values
 
     records = []
     failures = 0
     for path, label in zip(paths, labels):
         try:
-            records.append(FeatureRecord(label=int(label), path=path,
-                                         values=one(read_raster(path))))
+            base = extract_base_features(object_backend, scene_backend,
+                                         read_raster(path), config.sources)
+            values = config_matrix({s: v[None] for s, v in base.items()}, config)[0]
+            records.append(FeatureRecord(label=int(label), path=path, values=values))
         except Exception as exc:  # reported per file, summarized at the end
             failures += 1
             print(f"error: {path}: {exc}", file=sys.stderr)
     if not records:
         raise CliConfigError("no image produced features; nothing to write")
 
-    dim = records[0].values.shape[0]
     suffix = f"{feature_type}-{args.pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
-    save_cache(cache_path, dim, records)
-    print(f"wrote {len(records)} records (dim {dim}) to {cache_path}")
+    save_cache(cache_path, config.dim, records)
+    print(f"wrote {len(records)} records (dim {config.dim}) to {cache_path}")
     if failures:
         print(f"{failures} files failed", file=sys.stderr)
         return EXIT_DATA
@@ -394,12 +386,13 @@ def cmd_experiment(args) -> int:
     from .datasets import load_split, scan_dataset
     from .experiment import (FeatureConfig, default_configs, format_table,
                              run_experiment)
+    from .pipeline import SOURCES
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
     protocol = _build_protocol(args)
-    object_backend, scene_backend = _load_backends(args, "hdf")
+    object_backend, scene_backend = _load_backends(args, SOURCES)
     manifest = scan_dataset(args.dataset)
     plan = None
     if args.split_file:

@@ -57,6 +57,11 @@ class FeatureConfig:
     def dim(self) -> int:
         return 4 * FEATURE_DIM if self.pool_op == "concat" else FEATURE_DIM
 
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """The base descriptors this configuration is built from."""
+        return SOURCES if self.feature_type == "hdf" else (self.feature_type,)
+
 
 def default_configs() -> tuple[FeatureConfig, ...]:
     """The full ablation: four single types plus hdf under every pool op."""
@@ -166,7 +171,7 @@ def compute_base_features(
         raster = read_raster(path)
         base = extract_base_features(object_backend, scene_backend, raster)
         for source in SOURCES:
-            mats[source][i] = base[source].values
+            mats[source][i] = base[source]
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)

@@ -46,7 +46,10 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
     if data[:2] != magic:
         raise NetpbmError(f"{path}: expected {magic.decode()} magic, got {data[:2]!r}")
     tokens, pos = _read_tokens(data, 3, 2)
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise NetpbmError(f"{path}: non-numeric header fields {tokens!r}") from None
     if width < 1 or height < 1:
         raise NetpbmError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:

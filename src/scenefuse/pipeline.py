@@ -7,9 +7,10 @@ object-centric trunk and a scene-centric trunk sharing one architecture):
 * ``ow`` / ``sw``: whole-image level.
 
 Each descriptor is the global average pooling of the trunk's fifth-pool
-output, 512 values. The four are fused with a selectable pooling operator
-(elementwise max/mean/min keep 512 dims, concatenation yields 2048) and
-the fused vector is scaled to unit Euclidean norm.
+output, 512 values. :func:`extract_base_features` computes the requested
+ones for one image. :func:`fuse_matrix` pools the four row-wise (elementwise
+max/mean/min keep 512 dims, concatenation yields 2048) and scales each row
+to unit Euclidean norm; a single image is a one-row matrix.
 """
 
 from __future__ import annotations
@@ -27,45 +28,6 @@ FEATURE_DIM = 512
 SOURCES = ("op", "ow", "sp", "sw")
 POOL_OPS = ("max", "mean", "min", "concat")
 BACKEND_KINDS = ("object", "scene")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """A 512-dim descriptor tagged with its source (op, ow, sp or sw)."""
-
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float32)
-        if values.shape != (FEATURE_DIM,):
-            raise ValueError(f"feature must have {FEATURE_DIM} values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature contains non-finite values")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown feature source {self.source!r}")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class HybridFeature:
-    """The fused descriptor: 2048 dims under concat, 512 otherwise."""
-
-    values: np.ndarray
-    pool_op: str
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float32)
-        if self.pool_op not in POOL_OPS:
-            raise ValueError(f"unknown pool op {self.pool_op!r}")
-        want = 4 * FEATURE_DIM if self.pool_op == "concat" else FEATURE_DIM
-        if values.shape != (want,):
-            raise ValueError(
-                f"hybrid feature under {self.pool_op!r} must have {want} values, "
-                f"got {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -87,14 +49,6 @@ class Backend:
     def means(self) -> np.ndarray:
         return np.asarray(self.weights.means, dtype=np.float32)
 
-    @property
-    def whole_source(self) -> str:
-        return "ow" if self.kind == "object" else "sw"
-
-    @property
-    def part_source(self) -> str:
-        return "op" if self.kind == "object" else "sp"
-
 
 def resize_to_working(raster: np.ndarray) -> np.ndarray:
     """Bilinear-resize an (H, W, 3) raster to the channel-major working image.
@@ -111,131 +65,67 @@ def resize_to_working(raster: np.ndarray) -> np.ndarray:
     return bilinear_resize(chw, WORKING_SIZE, WORKING_SIZE)
 
 
-def preprocess(raster: np.ndarray, means) -> np.ndarray:
-    """Resize to 224x224, reorder channel-major, subtract per-channel means."""
-    means = np.asarray(means, dtype=np.float32)
-    if means.shape != (3,):
-        raise ValueError(f"means must be 3 values, got shape {means.shape}")
-    return resize_to_working(raster) - means[:, None, None]
-
-
-def _whole_from_working(backend: Backend, working: np.ndarray) -> FeatureVector:
-    x = working - backend.means[:, None, None]
-    fmap = forward_to_pool5(backend.spec, backend.weights, x)
-    return FeatureVector(values=gap(fmap), source=backend.whole_source)
-
-
-def _part_from_working(backend: Backend, working: np.ndarray,
-                       slices=None) -> FeatureVector:
-    means = backend.means
-    if slices is None:
-        slices = slice_all(working, fill=means)
-    vectors = np.empty((len(slices), FEATURE_DIM), dtype=np.float32)
-    for i, sub in enumerate(slices):
-        x = sub.pixels - means[:, None, None]
-        vectors[i] = gap(forward_to_pool5(backend.spec, backend.weights, x))
-    # fixed slice order keeps the reduction bit-deterministic
-    return FeatureVector(values=vectors.mean(axis=0, dtype=np.float32),
-                         source=backend.part_source)
-
-
-def extract_whole(backend: Backend, raster: np.ndarray) -> FeatureVector:
-    """Whole-image descriptor: gap(forward(preprocess(image)))."""
-    return _whole_from_working(backend, resize_to_working(raster))
-
-
-def extract_part(backend: Backend, raster: np.ndarray) -> FeatureVector:
-    """Part-level descriptor: mean of the 20 per-slice descriptors.
-
-    Slices are cut from the resized working image and re-resized; masked
-    pixels are filled with the backend means so they vanish after mean
-    subtraction.
-    """
-    return _part_from_working(backend, resize_to_working(raster))
-
-
 def extract_base_features(
-    object_backend: Backend, scene_backend: Backend, raster: np.ndarray
-) -> dict[str, FeatureVector]:
-    """All four base descriptors of one image, resizing the raster only once."""
-    if object_backend.kind != "object" or scene_backend.kind != "scene":
-        raise ValueError("pass backends as (object, scene)")
-    if object_backend.spec != scene_backend.spec:
+    object_backend: Backend | None,
+    scene_backend: Backend | None,
+    raster: np.ndarray,
+    sources=SOURCES,
+) -> dict[str, np.ndarray]:
+    """The requested base descriptors of one image, each a float32 (512,) array.
+
+    Only the sources named in `sources` are computed; a backend none of
+    whose sources is requested may be None. The raster is resized once,
+    and backends with equal means share one slice render. Part-level
+    sources are the mean of the 20 per-slice descriptors; slices are cut
+    from the working image with masked pixels filled with the backend
+    means, so they vanish after mean subtraction.
+    """
+    backends = {"op": object_backend, "ow": object_backend,
+                "sp": scene_backend, "sw": scene_backend}
+    for source in sources:
+        kind = "object" if source in ("op", "ow") else "scene"
+        if backends[source] is None or backends[source].kind != kind:
+            raise ValueError(f"source {source!r} needs a backend of kind {kind!r}; "
+                             "pass backends as (object, scene)")
+    if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise ValueError("object and scene backends must share one network spec")
+
     working = resize_to_working(raster)
     # rendered slices depend on the working image and fill colour only, so
     # backends with identical means can share one render pass
     slices_by_fill: dict[tuple, list] = {}
-
-    def slices_for(backend: Backend):
-        key = tuple(float(m) for m in backend.means)
-        if key not in slices_by_fill:
-            slices_by_fill[key] = slice_all(working, fill=backend.means)
-        return slices_by_fill[key]
-
-    return {
-        "op": _part_from_working(object_backend, working, slices_for(object_backend)),
-        "ow": _whole_from_working(object_backend, working),
-        "sp": _part_from_working(scene_backend, working, slices_for(scene_backend)),
-        "sw": _whole_from_working(scene_backend, working),
-    }
-
-
-def aggregate(pool_op: str, parts) -> HybridFeature:
-    """Fuse the four descriptors, which must arrive in order op, ow, sp, sw."""
-    if pool_op not in POOL_OPS:
-        raise ValueError(f"unknown pool op {pool_op!r}")
-    parts = list(parts)
-    if len(parts) != 4:
-        raise ValueError(f"need exactly 4 feature vectors, got {len(parts)}")
-    order = tuple(p.source for p in parts)
-    if order != SOURCES:
-        raise ValueError(f"feature order must be {SOURCES}, got {order}")
-    stack = np.stack([p.values for p in parts])
-    if pool_op == "concat":
-        values = stack.reshape(-1)
-    elif pool_op == "max":
-        values = stack.max(axis=0)
-    elif pool_op == "min":
-        values = stack.min(axis=0)
-    else:
-        values = stack.mean(axis=0, dtype=np.float32)
-    return HybridFeature(values=values, pool_op=pool_op, normalized=False)
-
-
-def normalize(feature: HybridFeature) -> HybridFeature:
-    """Scale to unit Euclidean norm; rejects (near-)zero vectors."""
-    norm = float(np.linalg.norm(feature.values.astype(np.float64)))
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a zero feature vector")
-    return HybridFeature(
-        values=(feature.values / np.float32(norm)).astype(np.float32),
-        pool_op=feature.pool_op,
-        normalized=True,
-    )
-
-
-def extract_hdf(
-    object_backend: Backend,
-    scene_backend: Backend,
-    raster: np.ndarray,
-    pool_op: str = "concat",
-) -> HybridFeature:
-    """Full hybrid descriptor of one raw image: extract, fuse, normalize."""
-    base = extract_base_features(object_backend, scene_backend, raster)
-    fused = aggregate(pool_op, [base[s] for s in SOURCES])
-    return normalize(fused)
+    features = {}
+    for source in (s for s in SOURCES if s in sources):
+        backend = backends[source]
+        if source in ("ow", "sw"):
+            views = [working]
+        else:
+            key = tuple(float(m) for m in backend.means)
+            if key not in slices_by_fill:
+                slices_by_fill[key] = slice_all(working, fill=backend.means)
+            views = [sub.pixels for sub in slices_by_fill[key]]
+        means = backend.means[:, None, None]
+        vectors = np.stack([gap(forward_to_pool5(backend.spec, backend.weights, v - means))
+                            for v in views])
+        # fixed view order keeps the reduction bit-deterministic; the mean
+        # of the one whole-image row is that row exactly
+        features[source] = vectors.mean(axis=0, dtype=np.float32)
+    return features
 
 
 def fuse_matrix(parts: dict[str, np.ndarray], pool_op: str) -> np.ndarray:
-    """Row-wise fuse + normalize for matrices of pre-extracted descriptors.
+    """Fuse the four base descriptors row-wise, then scale each row to unit norm.
 
-    `parts` maps each source to an (N, 512) array; rows correspond across
-    sources. Equivalent to running :func:`aggregate` and :func:`normalize`
-    per row (the harness uses this to avoid per-image Python overhead).
+    `parts` maps each of op, ow, sp, sw to an (N, 512) array; rows
+    correspond across sources, and a single image is a one-row matrix.
+    concat lays the sources out in the order op, ow, sp, sw (2048 dims);
+    max/mean/min pool them elementwise (512 dims). Zero rows are rejected.
     """
     if pool_op not in POOL_OPS:
         raise ValueError(f"unknown pool op {pool_op!r}")
+    missing = [s for s in SOURCES if s not in parts]
+    if missing:
+        raise ValueError(f"fusion needs all of {SOURCES}; missing {missing}")
     mats = [np.asarray(parts[s], dtype=np.float32) for s in SOURCES]
     n = mats[0].shape[0]
     for s, m in zip(SOURCES, mats):

@@ -23,6 +23,7 @@ File layout, little-endian, no padding between fields::
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -141,11 +142,15 @@ def load_weights(path: str) -> WeightBundle:
     entries = []
     for i in range(count):
         name_len = rd.u32(f"entry {i} name length")
-        name = rd.take(name_len, f"entry {i} name").decode("utf-8")
+        try:
+            name = rd.take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFileError(f"{path}: entry {i} name is not UTF-8") from None
         dims = struct.unpack("<4I", rd.take(16, f"entry {i} kernel dims"))
         if any(d < 1 for d in dims):
             raise ShapeError(f"{path}: entry {i} ({name}) has zero kernel dim {dims}")
-        kernel = rd.f32s(int(np.prod(dims)), f"entry {i} kernel data").reshape(dims)
+        # Python ints: np.prod would wrap a huge declared size to a small one
+        kernel = rd.f32s(math.prod(dims), f"entry {i} kernel data").reshape(dims)
         bias_dim = rd.u32(f"entry {i} bias dim")
         if bias_dim != dims[0]:
             raise ShapeError(

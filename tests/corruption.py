@@ -1,0 +1,44 @@
+"""Damaged copies of valid files, for checking that loaders fail cleanly.
+
+A loader fed a truncated or bit-flipped file may only raise its own typed
+error: never a bare ValueError, a UnicodeDecodeError, or an allocation
+sized by a corrupted header.
+"""
+
+import os
+import tempfile
+
+from hypothesis import strategies as st
+
+
+def saved_bytes(save, obj) -> bytes:
+    """The bytes `save(obj, path)` writes."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "file")
+        save(obj, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_bytes(load, content: bytes):
+    """Run `load(path)` on a temporary file holding `content`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "file")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        return load(path)
+
+
+def _flip(data: bytes, flips) -> bytes:
+    buf = bytearray(data)
+    for index, mask in flips:
+        buf[index] ^= mask
+    return bytes(buf)
+
+
+def corruptions(data: bytes):
+    """`data` cut short at a random length, or with one to four bytes XOR-flipped."""
+    truncated = st.integers(0, len(data) - 1).map(lambda n: data[:n])
+    flipped = st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+                       min_size=1, max_size=4).map(lambda flips: _flip(data, flips))
+    return st.one_of(truncated, flipped)

@@ -51,6 +51,27 @@ def conv2d_loops_f32(x, kernel, bias):
     return out
 
 
+def fuse_row(op, ow, sp, sw, pool_op):
+    """One image's hybrid descriptor: pool the four 512-vectors, then L2-normalise.
+
+    The norm is taken in float64 and the float32 row is divided by it,
+    which is the arithmetic the library is specified to do.
+    """
+    vectors = [np.asarray(v, dtype=np.float32) for v in (op, ow, sp, sw)]
+    if pool_op == "concat":
+        fused = np.concatenate(vectors)
+    elif pool_op == "max":
+        fused = np.max(vectors, axis=0)
+    elif pool_op == "mean":
+        fused = np.mean(vectors, axis=0, dtype=np.float32)
+    elif pool_op == "min":
+        fused = np.min(vectors, axis=0)
+    else:
+        raise ValueError(pool_op)
+    norm = np.sqrt(np.sum(fused.astype(np.float64) ** 2))
+    return fused / np.float32(norm)
+
+
 def maxpool2_windows(x):
     """2x2 max pooling by explicit window enumeration."""
     c, h, w = x.shape

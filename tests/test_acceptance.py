@@ -84,7 +84,8 @@ def test_slicing_partition_proofs():
 
 @pytest.mark.criterion(4, "dimensional contract: 512 per source, 2048 concat, 20 slices")
 def test_dimensional_contract(rng):
-    from scenefuse.pipeline import extract_base_features, extract_hdf
+    from scenefuse.experiment import FeatureConfig, config_matrix
+    from scenefuse.pipeline import extract_base_features, fuse_matrix
     from scenefuse.slicing import slice_all
     from scenefuse.synthetic import stub_backend_pair
 
@@ -92,10 +93,11 @@ def test_dimensional_contract(rng):
     raster = rng.uniform(0, 255, (70, 50, 3)).astype(np.float32)
     base = extract_base_features(obj, scn, raster)
     for source in ("op", "ow", "sp", "sw"):
-        assert base[source].values.shape == (512,)
-    assert extract_hdf(obj, scn, raster, "concat").values.shape == (2048,)
+        assert base[source].shape == (512,)
+    rows = {s: v[None] for s, v in base.items()}
+    assert config_matrix(rows, FeatureConfig("hdf", "concat"))[0].shape == (2048,)
     for op in ("max", "mean", "min"):
-        assert extract_hdf(obj, scn, raster, op).values.shape == (512,)
+        assert fuse_matrix(rows, op)[0].shape == (512,)
     subs = slice_all(np.zeros((3, 224, 224), dtype=np.float32))
     assert len(subs) == 20
 

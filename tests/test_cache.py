@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse.cache import (
     CacheBadMagicError, CacheDimensionError, CacheFileError, CacheTruncatedError,
     CacheVersionError, FeatureRecord, load_cache, save_cache,
 )
+
+VALID = saved_bytes(
+    lambda records, path: save_cache(path, 4, records),
+    [FeatureRecord(label=i, path=f"c{i}/img.ppm",
+                   values=np.arange(4, dtype=np.float32) + i) for i in range(3)],
+)
+# magic, header and record 0's label and path length take 24 bytes
+NON_UTF8_PATH = VALID[:24] + b"\xff" + VALID[25:]
 
 
 @pytest.fixture
@@ -77,3 +87,13 @@ def test_trailing_bytes_rejected(records, tmp_path):
     path.write_bytes(path.read_bytes() + b"z")
     with pytest.raises(CacheFileError, match="trailing"):
         load_cache(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruptions(VALID))
+@example(NON_UTF8_PATH)
+def test_corrupted_file_raises_only_cache_file_error(data):
+    try:
+        load_bytes(load_cache, data)
+    except CacheFileError:
+        pass

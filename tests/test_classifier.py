@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from scenefuse.classifier import (
-    C_GRID, ModelBadMagicError, ModelFileError, ModelTruncatedError,
+    C_GRID, LinearModel, ModelBadMagicError, ModelFileError, ModelTruncatedError,
     decision_values, evaluate, gradient, grid_search_c, load_model, objective,
     predict, save_model, stratified_folds, train_binary, train_ovr,
 )
 
+from corruption import corruptions, load_bytes, saved_bytes
 from oracles import logreg_brute_force, logreg_objective
+
+VALID_MODEL = saved_bytes(save_model, LinearModel(
+    class_ids=(0, 1), weights=np.array([[0.5, -1.25], [2.0, 0.125]]),
+    biases=np.array([0.1, -0.2]), best_c=3))
+NON_NUMERIC_DIM = VALID_MODEL.replace(b"dim 2", b"dim z")
+NON_NUMERIC_WEIGHT = VALID_MODEL.replace(b"0.5", b"0.z")
 
 
 def blobs(rng, k=3, per_class=30, dim=8, spread=6.0, noise=0.4):
@@ -229,6 +237,16 @@ class TestModelFile:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ModelFileError, match="fields"):
             load_model(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corruptions(VALID_MODEL))
+    @example(NON_NUMERIC_DIM)
+    @example(NON_NUMERIC_WEIGHT)
+    def test_corrupted_file_raises_only_model_file_error(self, data):
+        try:
+            load_bytes(load_model, data)
+        except ModelFileError:
+            pass
 
 
 def test_evaluate_matches_per_sample_scorer(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from scenefuse import cli
 from scenefuse.cache import load_cache
+from scenefuse.engine import forward_to_pool5
 from scenefuse.imageio import write_ppm
 from scenefuse.weights import save_weights
 
@@ -84,6 +85,28 @@ class TestExtract:
         assert rc == 0
         dim, _ = load_cache(str(next(out.glob("*_ow.hdfc"))))
         assert dim == 512
+
+    @pytest.mark.parametrize("feature_type, per_image", [("ow", 1), ("op", 20)])
+    def test_forwards_only_for_the_requested_source(self, feature_type, per_image,
+                                                     tiny_dataset, weight_files,
+                                                     tmp_path, monkeypatch):
+        from scenefuse import pipeline
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return forward_to_pool5(*args)
+
+        monkeypatch.setattr(pipeline, "forward_to_pool5", counting)
+        root, manifest = tiny_dataset
+        obj_w, _ = weight_files
+        rc = cli.main([
+            "extract", "--dataset", str(root), "--object-weights", obj_w,
+            "--feature-type", feature_type, "--out", str(tmp_path / "f"),
+        ])
+        assert rc == 0
+        assert len(calls) == per_image * manifest.total_images
 
     def test_repeat_invocation_bit_identical(self, tiny_dataset, weight_files,
                                              tmp_path):

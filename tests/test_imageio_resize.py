@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from scenefuse.imageio import (
     NetpbmError, read_pgm, read_ppm, read_raster, write_pgm, write_ppm,
 )
 from scenefuse.resize import bilinear_resize
 
+from corruption import corruptions, load_bytes, saved_bytes
 from oracles import bilinear_resize_pointwise
+
+VALID_PPM = saved_bytes(lambda arr, path: write_ppm(path, arr),
+                        np.arange(60, dtype=np.uint8).reshape(4, 5, 3))
+NON_NUMERIC_HEADER = VALID_PPM.replace(b"5 4", b"5 x", 1)
 
 
 class TestNetpbm:
@@ -50,6 +56,15 @@ class TestNetpbm:
         assert raster.shape == (2, 2, 3)
         assert (raster[:, :, 0] == raster[:, :, 1]).all()
         assert raster.dtype == np.float32
+
+    @settings(max_examples=300, deadline=None)
+    @given(corruptions(VALID_PPM))
+    @example(NON_NUMERIC_HEADER)
+    def test_corrupted_file_raises_only_netpbm_error(self, data):
+        try:
+            load_bytes(read_raster, data)
+        except NetpbmError:
+            pass
 
     def test_read_raster_rejects_other_formats(self, tmp_path):
         path = tmp_path / "x.ppm"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fuse_row
+from scenefuse import pipeline
 from scenefuse.engine import forward_to_pool5, gap
+from scenefuse.experiment import FeatureConfig, config_matrix
 from scenefuse.pipeline import (
-    FEATURE_DIM, POOL_OPS, SOURCES, Backend, FeatureVector, HybridFeature,
-    aggregate, extract_base_features, extract_hdf, extract_part, extract_whole,
-    fuse_matrix, normalize, preprocess, resize_to_working,
+    FEATURE_DIM, POOL_OPS, SOURCES, Backend, extract_base_features, fuse_matrix,
+    resize_to_working,
 )
 from scenefuse.slicing import slice_all
 from scenefuse.synthetic import stub_spec
@@ -35,6 +37,24 @@ def constant_output_backend(kind="object", seed=0):
                                                               means=zero.means))
 
 
+def one_row(vectors):
+    """The four descriptors of one image as one-row matrices, in SOURCES order."""
+    return {s: np.asarray(v, dtype=np.float32)[None] for s, v in zip(SOURCES, vectors)}
+
+
+def hdf(obj, scn, raster, pool_op):
+    """One image's hybrid descriptor, composed as `scenefuse extract` does."""
+    base = extract_base_features(obj, scn, raster)
+    return config_matrix({s: v[None] for s, v in base.items()},
+                         FeatureConfig("hdf", pool_op))[0]
+
+
+def preprocess(raster, means):
+    """Resize to the working image, then subtract the per-channel means,
+    the input every forward pass of extraction receives."""
+    return resize_to_working(raster) - np.asarray(means, dtype=np.float32)[:, None, None]
+
+
 class TestPreprocess:
     def test_image_equal_to_means_becomes_zero(self):
         means = (10.0, 20.0, 30.0)
@@ -59,41 +79,39 @@ class TestPreprocess:
 
     def test_rejects_non_rgb(self):
         with pytest.raises(ValueError, match="H, W, 3"):
-            preprocess(np.zeros((5, 5), dtype=np.float32), (0, 0, 0))
+            resize_to_working(np.zeros((5, 5), dtype=np.float32))
 
 
 class TestExtractWhole:
     def test_zero_weights_give_zero_vector(self, rng):
         backend = tiny_backend(scale=0.0)
         raster = rng.uniform(0, 255, (50, 60, 3)).astype(np.float32)
-        vec = extract_whole(backend, raster)
-        assert vec.values.shape == (FEATURE_DIM,)
-        assert not vec.values.any()
-        assert vec.source == "ow"
+        base = extract_base_features(backend, None, raster, ("ow",))
+        assert set(base) == {"ow"}
+        assert base["ow"].shape == (FEATURE_DIM,)
+        assert not base["ow"].any()
 
     def test_matches_manual_composition(self, rng):
         backend = tiny_backend(kind="scene", seed=4)
         raster = rng.uniform(0, 255, (100, 80, 3)).astype(np.float32)
-        vec = extract_whole(backend, raster)
+        base = extract_base_features(None, backend, raster, ("sw",))
         manual = gap(forward_to_pool5(
             backend.spec, backend.weights, preprocess(raster, backend.means)))
-        assert np.array_equal(vec.values, manual)
-        assert vec.source == "sw"
+        assert set(base) == {"sw"}
+        assert np.array_equal(base["sw"], manual)
 
 
 class TestExtractPart:
     def test_constant_output_backend_part_equals_whole(self, rng):
         backend = constant_output_backend(seed=9)
         raster = rng.uniform(0, 255, (64, 64, 3)).astype(np.float32)
-        part = extract_part(backend, raster)
-        whole = extract_whole(backend, raster)
-        assert np.allclose(part.values, whole.values, atol=1e-6)
-        assert part.source == "op"
+        base = extract_base_features(backend, None, raster, ("op", "ow"))
+        assert np.allclose(base["op"], base["ow"], atol=1e-6)
 
     def test_matches_explicit_twenty_vector_average(self, rng):
         backend = tiny_backend(seed=6)
         raster = rng.uniform(0, 255, (90, 70, 3)).astype(np.float32)
-        part = extract_part(backend, raster)
+        part = extract_base_features(backend, None, raster, ("op",))["op"]
 
         working = resize_to_working(raster)
         means = backend.means[:, None, None]
@@ -103,25 +121,66 @@ class TestExtractPart:
         ]
         assert len(vectors) == 20
         expected = np.stack(vectors).mean(axis=0, dtype=np.float32)
-        assert np.allclose(part.values, expected, atol=1e-6)
+        assert np.allclose(part, expected, atol=1e-6)
+
+
+class TestExtractBaseFeatures:
+    def test_forward_count_follows_sources(self, rng, monkeypatch):
+        obj = tiny_backend("object", seed=1)
+        scn = tiny_backend("scene", seed=2)
+        raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return forward_to_pool5(*args)
+
+        monkeypatch.setattr(pipeline, "forward_to_pool5", counting)
+        for sources, forwards in ((SOURCES, 42), (("ow",), 1), (("op",), 20),
+                                  (("sw", "sp"), 21)):
+            calls.clear()
+            base = extract_base_features(obj, scn, raster, sources)
+            assert set(base) == set(sources)
+            assert len(calls) == forwards, sources
+        calls.clear()
+        extract_base_features(obj, scn, raster)
+        assert len(calls) == 42
+
+    def test_missing_backend_for_requested_source_rejected(self, rng):
+        obj = tiny_backend("object", seed=1)
+        scn = tiny_backend("scene", seed=2)
+        raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
+        assert set(extract_base_features(obj, None, raster, ("ow",))) == {"ow"}
+        assert set(extract_base_features(None, scn, raster, ("sw",))) == {"sw"}
+        with pytest.raises(ValueError, match="object"):
+            extract_base_features(None, scn, raster, ("op",))
+        with pytest.raises(ValueError, match="scene"):
+            extract_base_features(obj, None, raster)
+
+    def test_swapped_kinds_rejected(self, rng):
+        obj = tiny_backend("object", seed=1)
+        scn = tiny_backend("scene", seed=2)
+        raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
+        with pytest.raises(ValueError, match="object, scene"):
+            extract_base_features(scn, obj, raster)
 
 
 class TestAggregate:
-    def _parts(self, vectors):
-        return [FeatureVector(values=v, source=s) for v, s in zip(vectors, SOURCES)]
-
     def test_concat_dims_and_order(self, rng):
         vecs = [rng.random(FEATURE_DIM).astype(np.float32) for _ in range(4)]
-        fused = aggregate("concat", self._parts(vecs))
-        assert fused.values.shape == (2048,)
+        fused = fuse_matrix(one_row(vecs), "concat")[0]
+        assert fused.shape == (2048,)
+        norm = np.linalg.norm(np.concatenate(vecs).astype(np.float64))
         for k in range(4):
-            assert np.array_equal(fused.values[k * 512 : (k + 1) * 512], vecs[k])
+            assert np.allclose(fused[k * 512 : (k + 1) * 512] * norm, vecs[k],
+                               rtol=1e-6, atol=0)
 
     def test_identical_vectors_collapse(self, rng):
         v = rng.random(FEATURE_DIM).astype(np.float32)
+        unit = v / np.float32(np.linalg.norm(v.astype(np.float64)))
         for op in ("max", "mean", "min"):
-            fused = aggregate(op, self._parts([v] * 4))
-            assert np.allclose(fused.values, v, atol=1e-7)
+            fused = fuse_matrix(one_row([v] * 4), op)[0]
+            assert np.allclose(fused, unit, atol=1e-7)
 
     def test_mean_of_basis_vectors(self):
         vecs = []
@@ -129,64 +188,74 @@ class TestAggregate:
             e = np.zeros(FEATURE_DIM, dtype=np.float32)
             e[k] = 1.0
             vecs.append(e)
-        fused = aggregate("mean", self._parts(vecs))
-        assert np.allclose(fused.values[:4], 0.25)
-        assert not fused.values[4:].any()
+        fused = fuse_matrix(one_row(vecs), "mean")[0]
+        # the mean is 0.25 in four places, norm 0.5
+        assert np.allclose(fused[:4], 0.5)
+        assert not fused[4:].any()
 
     def test_wrong_count_rejected(self, rng):
-        parts = self._parts([rng.random(FEATURE_DIM).astype(np.float32)] * 4)
-        with pytest.raises(ValueError, match="4"):
-            aggregate("max", parts[:3])
+        parts = one_row([rng.random(FEATURE_DIM).astype(np.float32)] * 4)
+        del parts["sw"]
+        with pytest.raises(ValueError, match="sw"):
+            fuse_matrix(parts, "max")
 
-    def test_wrong_order_rejected(self, rng):
-        parts = self._parts([rng.random(FEATURE_DIM).astype(np.float32)] * 4)
-        with pytest.raises(ValueError, match="order"):
-            aggregate("max", parts[::-1])
+    def test_dict_order_does_not_change_the_row(self, rng):
+        parts = one_row([rng.random(FEATURE_DIM).astype(np.float32) for _ in range(4)])
+        reversed_parts = {s: parts[s] for s in reversed(SOURCES)}
+        for op in POOL_OPS:
+            assert np.array_equal(fuse_matrix(parts, op), fuse_matrix(reversed_parts, op))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_bounds_min_mean_max(self, seed):
         r = np.random.default_rng(seed)
         vecs = [r.normal(0, 3, FEATURE_DIM).astype(np.float32) for _ in range(4)]
-        low = aggregate("min", self._parts(vecs)).values
-        mid = aggregate("mean", self._parts(vecs)).values
-        high = aggregate("max", self._parts(vecs)).values
+        # column 0 is 1 in every source, so it is 1 under every pool op and
+        # dividing a fused row by its column 0 undoes the normalisation
+        for v in vecs:
+            v[0] = 1.0
+
+        def pooled(op):
+            fused = fuse_matrix(one_row(vecs), op)[0]
+            return fused / fused[0]
+
+        low, mid, high = pooled("min"), pooled("mean"), pooled("max")
         assert (low <= mid + 1e-5).all() and (mid <= high + 1e-5).all()
 
 
 class TestNormalize:
-    def _hf(self, values):
-        return HybridFeature(values=values, pool_op="mean", normalized=False)
+    def _normalize(self, values):
+        # max of four identical rows is that row exactly
+        return fuse_matrix(one_row([values] * 4), "max")[0]
 
     def test_three_four_example(self):
         v = np.zeros(FEATURE_DIM, dtype=np.float32)
         v[0], v[1] = 3.0, 4.0
-        out = normalize(self._hf(v))
-        assert out.normalized
-        assert out.values[0] == pytest.approx(0.6, abs=1e-7)
-        assert out.values[1] == pytest.approx(0.8, abs=1e-7)
+        out = self._normalize(v)
+        assert out[0] == pytest.approx(0.6, abs=1e-7)
+        assert out[1] == pytest.approx(0.8, abs=1e-7)
 
     def test_unit_vector_unchanged(self, rng):
         v = rng.random(FEATURE_DIM).astype(np.float32)
         v /= np.float32(np.linalg.norm(v))
-        out = normalize(self._hf(v))
-        assert np.allclose(out.values, v, atol=1e-7)
+        out = self._normalize(v)
+        assert np.allclose(out, v, atol=1e-7)
 
     def test_hundred_random_norms(self, rng):
         for _ in range(100):
             v = rng.normal(0, 5, FEATURE_DIM).astype(np.float32)
-            out = normalize(self._hf(v))
-            assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-5)
+            out = self._normalize(v)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-5)
 
     def test_idempotent(self, rng):
         v = rng.normal(0, 5, FEATURE_DIM).astype(np.float32)
-        once = normalize(self._hf(v))
-        twice = normalize(once)
-        assert np.allclose(once.values, twice.values, atol=1e-7)
+        once = self._normalize(v)
+        twice = self._normalize(once)
+        assert np.allclose(once, twice, atol=1e-7)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            normalize(self._hf(np.zeros(FEATURE_DIM, dtype=np.float32)))
+            self._normalize(np.zeros(FEATURE_DIM, dtype=np.float32))
 
 
 class TestExtractHdf:
@@ -194,17 +263,16 @@ class TestExtractHdf:
         obj = tiny_backend("object", seed=1)
         scn = tiny_backend("scene", seed=2)
         raster = rng.uniform(0, 255, (60, 60, 3)).astype(np.float32)
-        h = extract_hdf(obj, scn, raster, "concat")
-        assert h.values.shape == (2048,)
-        assert h.normalized
-        assert np.linalg.norm(h.values) == pytest.approx(1.0, abs=1e-5)
+        h = hdf(obj, scn, raster, "concat")
+        assert h.shape == (2048,)
+        assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-5)
 
     def test_pointwise_ops_are_512(self, rng):
         obj = tiny_backend("object", seed=1)
         scn = tiny_backend("scene", seed=2)
         raster = rng.uniform(0, 255, (60, 60, 3)).astype(np.float32)
         for op in ("max", "mean", "min"):
-            assert extract_hdf(obj, scn, raster, op).values.shape == (512,)
+            assert hdf(obj, scn, raster, op).shape == (512,)
 
     def test_identical_backends_make_equal_halves(self, rng):
         spec = stub_spec(mid_channels=4)
@@ -212,21 +280,23 @@ class TestExtractHdf:
         obj = Backend(kind="object", spec=spec, weights=bundle)
         scn = Backend(kind="scene", spec=spec, weights=bundle)
         raster = rng.uniform(0, 255, (60, 60, 3)).astype(np.float32)
-        h = extract_hdf(obj, scn, raster, "concat")
-        assert np.array_equal(h.values[:1024], h.values[1024:])
+        h = hdf(obj, scn, raster, "concat")
+        assert np.array_equal(h[:1024], h[1024:])
 
     def test_matches_manual_composition(self, rng):
         obj = tiny_backend("object", seed=1)
         scn = tiny_backend("scene", seed=2)
         raster = rng.uniform(0, 255, (60, 60, 3)).astype(np.float32)
-        h = extract_hdf(obj, scn, raster, "mean")
-        manual = normalize(aggregate("mean", [
-            extract_part(obj, raster),
-            extract_whole(obj, raster),
-            extract_part(scn, raster),
-            extract_whole(scn, raster),
-        ]))
-        assert np.array_equal(h.values, manual.values)
+        h = hdf(obj, scn, raster, "mean")
+        # each source extracted on its own, with only its backend loaded
+        manual = fuse_row(
+            extract_base_features(obj, None, raster, ("op",))["op"],
+            extract_base_features(obj, None, raster, ("ow",))["ow"],
+            extract_base_features(None, scn, raster, ("sp",))["sp"],
+            extract_base_features(None, scn, raster, ("sw",))["sw"],
+            "mean",
+        )
+        assert np.array_equal(h, manual)
 
     def test_mismatched_specs_rejected(self, rng):
         obj = tiny_backend("object", seed=1)
@@ -235,7 +305,7 @@ class TestExtractHdf:
                       weights=random_bundle(other_spec, seed=2))
         raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="share"):
-            extract_hdf(obj, scn, raster)
+            extract_base_features(obj, scn, raster)
 
 
 class TestFuseMatrix:
@@ -245,6 +315,5 @@ class TestFuseMatrix:
         for op in POOL_OPS:
             fused = fuse_matrix(base, op)
             for i in range(5):
-                parts = [FeatureVector(values=base[s][i], source=s) for s in SOURCES]
-                row = normalize(aggregate(op, parts)).values
+                row = fuse_row(*(base[s][i] for s in SOURCES), op)
                 assert np.array_equal(fused[i], row), op

@@ -1,18 +1,34 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse.engine import CONV3X3, RELU, LayerSpec, NetworkSpec, vgg16_spec
 from scenefuse.weights import (
     BadMagicError, ConvEntry, ShapeError, TruncatedFileError, WeightBundle,
-    load_weights, random_bundle, save_weights,
+    WeightFileError, load_weights, random_bundle, save_weights,
 )
+
+
+def small_bundle():
+    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(RELU),
+                        LayerSpec(CONV3X3, 4, 2)))
+    return random_bundle(spec, seed=7, means=(10.0, 20.0, 30.0))
 
 
 @pytest.fixture
 def bundle():
-    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(RELU),
-                        LayerSpec(CONV3X3, 4, 2)))
-    return random_bundle(spec, seed=7, means=(10.0, 20.0, 30.0))
+    return small_bundle()
+
+
+VALID = saved_bytes(save_weights, small_bundle())
+# header (magic, version, means, count) is 24 bytes; entry 0 is named "conv0"
+NAME_AT, DIMS_AT = 28, 33
+HUGE_DIMS = (VALID[:DIMS_AT] + struct.pack("<4I", 2 ** 31, 2 ** 31, 2 ** 31, 4)
+             + VALID[DIMS_AT + 16:])
+NON_UTF8_NAME = VALID[:NAME_AT] + b"\xff" + VALID[NAME_AT + 1:]
 
 
 def test_round_trip_bit_identical(bundle, tmp_path):
@@ -110,3 +126,20 @@ def test_out_of_range_means_rejected():
     )
     with pytest.raises(ValueError, match="means"):
         bundle.validate_against(spec)
+
+
+def test_huge_kernel_dims_are_truncation():
+    # their product overflows 64 bits; it must not wrap to a small size
+    with pytest.raises(TruncatedFileError):
+        load_bytes(load_weights, HUGE_DIMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruptions(VALID))
+@example(HUGE_DIMS)
+@example(NON_UTF8_NAME)
+def test_corrupted_file_raises_only_weight_file_error(data):
+    try:
+        load_bytes(load_weights, data)
+    except WeightFileError:
+        pass
