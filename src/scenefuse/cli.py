@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate_weights)
 
     p = sub.add_parser(
-        "bench", help="time optimized conv2d (im2col + sgemm) against the direct reference")
+        "bench", help="time optimized conv2d (im2col + sgemm over blocks of output rows, "
+        "~4 MiB of columns each) against the direct reference")
     p.add_argument("--channels-in", type=int, default=64)
     p.add_argument("--height", type=int, default=224)
     p.add_argument("--width", type=int, default=224)

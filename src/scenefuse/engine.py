@@ -8,10 +8,10 @@ throughout:
 * activations are channel-major float32 arrays of shape (C, H, W);
 * every operation is a pure function, so results are bit-deterministic
   for identical inputs;
-* the optimized convolution (im2col plus one sgemm) is pinned against a
-  direct reference, `conv2d_naive`: the six-nested-loop convolution with
-  its output loops vectorised by numpy, one multiply-add per input tap.
-  It also serves as the baseline of the built-in benchmark.
+* the optimized convolution (row-blocked im2col plus sgemm) is pinned
+  against a direct reference, `conv2d_naive`: the six-nested-loop
+  convolution with its output loops vectorised by numpy, one multiply-add
+  per input tap. It also serves as the baseline of the built-in benchmark.
 
 The engine knows nothing about files; weight storage lives in
 :mod:`scenefuse.weights`.
@@ -27,6 +27,9 @@ import numpy as np
 CONV3X3 = "conv3x3"
 RELU = "relu"
 MAXPOOL2 = "maxpool2"
+
+# bytes of im2col columns per block of output rows in `conv2d`: about one L2 cache
+_BLOCK_BYTES = 4 << 20
 
 
 def _as_f32(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -46,7 +49,9 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out[o, y, x] = bias[o] + sum_{c,dy,dx} in[c, y+dy-1, x+dx-1] * kernel[o, c, dy, dx]
 
     with out-of-range input treated as zero. Implemented as im2col plus a
-    single float32 matrix multiply; accumulation stays in 32-bit floats.
+    float32 matrix multiply per block of output rows, whose columns fill at
+    most `_BLOCK_BYTES` (or one row) of a buffer reused from block to block,
+    so no whole-layer column matrix is built. Accumulation stays in float32.
 
     Args:
         x: input activations, shape (C_in, H, W).
@@ -72,14 +77,17 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     padded = np.zeros((c_in, h + 2, w + 2), dtype=np.float32)
     padded[:, 1 : h + 1, 1 : w + 1] = x
 
-    n = h * w
-    cols = np.empty((c_in, 3, 3, n), dtype=np.float32)
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, dy, dx, :] = padded[:, dy : dy + h, dx : dx + w].reshape(c_in, n)
-
-    out = np.empty((c_out, n), dtype=np.float32)
-    np.matmul(kernel.reshape(c_out, c_in * 9), cols.reshape(c_in * 9, n), out=out)
+    flat = kernel.reshape(c_out, c_in * 9)
+    rows = max(1, min(h, _BLOCK_BYTES // max(1, c_in * 9 * w * 4)))
+    buf = np.empty(c_in * 9 * rows * w, dtype=np.float32)
+    out = np.empty((c_out, h * w), dtype=np.float32)
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        cols = buf[: c_in * 9 * n * w].reshape(c_in, 3, 3, n, w)
+        for dy in range(3):
+            for dx in range(3):
+                cols[:, dy, dx] = padded[:, r0 + dy : r0 + dy + n, dx : dx + w]
+        np.matmul(flat, cols.reshape(c_in * 9, n * w), out=out[:, r0 * w : (r0 + n) * w])
     out += bias[:, None]
     return out.reshape(c_out, h, w)
 

@@ -15,7 +15,10 @@ import pytest
 
 from oracles import conv2d_loops, logreg_brute_force, normalized_max_error
 
-SINGLE_THREAD_ENV = {**os.environ,
+# the child imports scenefuse from this checkout's src/, as the test process does
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PYTHONPATH = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+SINGLE_THREAD_ENV = {**os.environ, "PYTHONPATH": PYTHONPATH,
                      "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                      "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"}
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scenefuse import engine
 from scenefuse.engine import (
     CONV3X3, MAXPOOL2, RELU, LayerSpec, NetworkSpec, conv2d, conv2d_naive,
     forward_to_pool5, gap, maxpool2, relu, vgg16_spec,
@@ -61,6 +64,58 @@ class TestConv2d:
             out = conv2d_naive(x, kernel, bias)
             assert normalized_max_error(out, conv2d_loops(x, kernel, bias)) <= 1e-5
             assert np.array_equal(out, conv2d_loops_f32(x, kernel, bias))
+
+    # (block budget in rows, c_in, h, w, c_out, blocks): one-row blocks (a
+    # budget below one row), several rows with a ragged last block, several
+    # rows dividing h exactly, one block holding the whole layer
+    @pytest.mark.parametrize("rows, c_in, h, w, c_out, blocks", [
+        (0, 2, 5, 4, 3, 5),
+        (3, 3, 7, 5, 2, 3),
+        (2, 1, 6, 3, 4, 3),
+        (9, 4, 8, 8, 3, 1),
+    ])
+    def test_row_blocks_match_loop_oracle(self, monkeypatch, rng, rows, c_in, h, w, c_out, blocks):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", max(1, rows * c_in * 9 * w * 4))
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
+        x = f32(c_in, h, w, rng=rng)
+        kernel = f32(c_out, c_in, 3, 3, rng=rng)
+        bias = f32(c_out, rng=rng)
+        out = conv2d(x, kernel, bias)
+        assert len(calls) == blocks
+        assert normalized_max_error(out, conv2d_loops(x, kernel, bias)) <= 1e-5
+
+    def test_empty_extents(self):
+        # zero rows, columns or input channels still give the (C_out, H, W) output
+        for c_in, h, w in [(2, 0, 0), (2, 3, 0), (2, 0, 4), (0, 4, 4)]:
+            out = conv2d(np.ones((c_in, h, w), dtype=np.float32),
+                         np.ones((3, c_in, 3, 3), dtype=np.float32),
+                         np.arange(3, dtype=np.float32))
+            assert out.shape == (3, h, w)
+            assert np.array_equal(out, np.broadcast_to(np.arange(3)[:, None, None], out.shape))
+
+    def test_real_budget_matches_naive(self, rng):
+        # at the module's budget, 256 x 61 columns give blocks of 7 rows, the last of 5
+        x = f32(256, 61, 61, rng=rng)
+        kernel = f32(64, 256, 3, 3, rng=rng, scale=1 / 48)
+        bias = f32(64, rng=rng)
+        ref = conv2d_naive(x, kernel, bias)
+        assert normalized_max_error(conv2d(x, kernel, bias), ref) <= 1e-5
+
+    def test_column_memory_stays_within_blocks(self, rng):
+        # conv2 of VGG16: the padded input, the output and one block of columns
+        # take about 30 MB, a whole-layer column matrix alone would take 115 MB
+        x = f32(64, 224, 224, rng=rng)
+        kernel = f32(64, 64, 3, 3, rng=rng, scale=1 / 24)
+        bias = f32(64, rng=rng)
+        tracemalloc.start()
+        try:
+            conv2d(x, kernel, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_translation_consistency(self, rng):
         x = f32(1, 8, 8, rng=rng)
