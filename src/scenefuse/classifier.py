@@ -12,8 +12,10 @@ iterations. It stops when the gradient norm falls below
 
 Multiclass is one binary model per class versus the rest; prediction is
 the argmax of decision values with ties broken toward the smallest class
-id. The cost parameter is tuned by stratified k-fold cross-validation
-over the integer grid C = 1..100, ties toward the smaller C.
+id. `train_ovr` is the one loop over classes and carries the warm start.
+The cost parameter is tuned by stratified k-fold cross-validation over
+the integer grid C = 1..100, ties toward the smaller C, refitting each
+fold's model through `train_ovr` along the ascending C path.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ def train_binary(
     y: np.ndarray,
     c: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
     init: tuple[np.ndarray, float] | None = None,
     history: list | None = None,
 ) -> tuple[np.ndarray, float]:
@@ -112,7 +113,7 @@ def train_binary(
     if history is not None:
         history.append(fval)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         gnorm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
         if gnorm <= threshold:
             break
@@ -219,21 +220,25 @@ class LinearModel:
 
 
 def train_ovr(X: np.ndarray, labels: np.ndarray, c: float,
-              tol: float = DEFAULT_TOL) -> LinearModel:
-    """Train one binary model per class (that class vs. the rest)."""
+              init: LinearModel | None = None) -> LinearModel:
+    """Train one binary model per class (that class vs. the rest); `init`, a
+    model over the same classes, warm-starts each class's solver."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if float(c) != int(c):
         raise ValueError(f"one-vs-rest training uses integer costs, got {c}")
-    class_ids = sorted(int(v) for v in np.unique(labels))
+    class_ids = tuple(sorted(int(v) for v in np.unique(labels)))
     if len(class_ids) < 2:
         raise ValueError("need at least 2 classes")
+    if init is not None and init.class_ids != class_ids:
+        raise ValueError(f"warm start has classes {init.class_ids}, expected {class_ids}")
     weights = np.empty((len(class_ids), X.shape[1]))
     biases = np.empty(len(class_ids))
     for k, cls in enumerate(class_ids):
         y = np.where(labels == cls, 1.0, -1.0)
-        weights[k], biases[k] = train_binary(X, y, float(c), tol=tol)
-    return LinearModel(class_ids=tuple(class_ids), weights=weights, biases=biases,
+        start = None if init is None else (init.weights[k], init.biases[k])
+        weights[k], biases[k] = train_binary(X, y, float(c), init=start)
+    return LinearModel(class_ids=class_ids, weights=weights, biases=biases,
                        best_c=int(c))
 
 
@@ -306,7 +311,6 @@ def grid_search_c(
     folds: int = 5,
     seed: int = 0,
     c_values=C_GRID,
-    tol: float = DEFAULT_TOL,
 ) -> GridSearchReport:
     """Tune the cost parameter by stratified k-fold cross-validation.
 
@@ -321,27 +325,16 @@ def grid_search_c(
     if any(c <= 0 for c in c_values):
         raise ValueError("cost values must be positive")
     assignment = stratified_folds(labels, folds, seed)
-    class_ids = sorted(int(v) for v in np.unique(labels))
+    splits = [(X[assignment != f], labels[assignment != f],
+               X[assignment == f], labels[assignment == f]) for f in range(folds)]
 
-    splits = []
-    for f in range(folds):
-        val = assignment == f
-        splits.append((X[~val], labels[~val], X[val], labels[val]))
-
-    warm: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    models = [None] * folds
     accuracies = []
     for c in c_values:
         fold_accs = []
         for f, (X_tr, y_tr, X_val, y_val) in enumerate(splits):
-            scores = np.empty((X_val.shape[0], len(class_ids)))
-            for k, cls in enumerate(class_ids):
-                y_bin = np.where(y_tr == cls, 1.0, -1.0)
-                w, b = train_binary(X_tr, y_bin, float(c), tol=tol,
-                                    init=warm.get((f, k)))
-                warm[(f, k)] = (w, b)
-                scores[:, k] = X_val @ w + b
-            pred = np.asarray(class_ids)[np.argmax(scores, axis=1)]
-            fold_accs.append(float(np.mean(pred == y_val)))
+            models[f] = train_ovr(X_tr, y_tr, c, init=models[f])
+            fold_accs.append(evaluate(models[f], X_val, y_val))
         accuracies.append(sum(fold_accs) / folds)
 
     best = int(np.argmax(accuracies))  # first max = smallest C on ties

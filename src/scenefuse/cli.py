@@ -7,8 +7,9 @@ error. Every command validates its configuration before performing any
 write.
 
 A flat JSON config file (``--config``) may supply any of the shared
-options; explicit flags take precedence over config values, which take
-precedence over built-in defaults.
+options, each value checked against its flag's type or choices; explicit
+flags take precedence over config values, which take precedence over
+built-in defaults.
 
 Heavy imports happen inside the command handlers so that ``--threads N``
 can pin the BLAS thread-pool environment variables before numpy loads;
@@ -31,9 +32,14 @@ EXIT_INTERNAL = 4
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
-# option dests that may come from the config file
-_CONFIG_KEYS = ("object_weights", "scene_weights", "pool", "feature_type",
-                "dataset", "protocol", "seed", "threads", "out", "folds")
+_POOLS = ("max", "mean", "min", "concat")
+_FEATURE_TYPES = ("hdf", "op", "ow", "sp", "sw")
+
+# option dests that may come from the config file, each with its flag's
+# type or choices
+_CONFIG_KEYS = {"object_weights": str, "scene_weights": str, "pool": _POOLS,
+                "feature_type": _FEATURE_TYPES, "dataset": str, "protocol": str,
+                "seed": int, "threads": int, "out": str, "folds": int}
 
 _DEFAULTS = {"pool": "concat", "feature_type": "hdf", "seed": 0, "folds": 5}
 
@@ -46,9 +52,9 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override it")
     parser.add_argument("--object-weights", help="HDFW bundle for the object trunk")
     parser.add_argument("--scene-weights", help="HDFW bundle for the scene trunk")
-    parser.add_argument("--pool", choices=["max", "mean", "min", "concat"],
+    parser.add_argument("--pool", choices=_POOLS,
                         help="fusion operator for hdf features (default concat)")
-    parser.add_argument("--feature-type", choices=["hdf", "op", "ow", "sp", "sw"],
+    parser.add_argument("--feature-type", choices=_FEATURE_TYPES,
                         help="which descriptor to compute (default hdf)")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--threads", type=int,
@@ -137,6 +143,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if unknown:
             raise CliConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in cfg.items():
+            rule = _CONFIG_KEYS[key]
+            if (value not in rule if isinstance(rule, tuple)
+                    else type(value) is not rule):  # type(): JSON true is no int
+                raise CliConfigError(f"config key {key!r}: invalid value {value!r}")
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
     for key, value in _DEFAULTS.items():
@@ -159,6 +169,12 @@ def _require_out(args) -> str:
     if os.path.exists(out) and not os.path.isdir(out):
         raise CliConfigError(f"--out {out} exists and is not a directory")
     return out
+
+
+def _require_folds(args) -> int:
+    if args.folds < 2:
+        raise CliConfigError(f"--folds must be >= 2, got {args.folds}")
+    return args.folds
 
 
 def _load_backends(args, sources):
@@ -306,7 +322,7 @@ def cmd_train(args) -> int:
 
     cache_path = _require_file(args.features, "--features cache")
     out_dir = _require_out(args)
-    folds = int(args.folds)
+    folds = _require_folds(args)
     _, records = load_cache(cache_path)
     X = np.stack([r.values for r in records])
     y = np.asarray([r.label for r in records])
@@ -392,6 +408,7 @@ def cmd_experiment(args) -> int:
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
+    folds = _require_folds(args)
     protocol = _build_protocol(args)
     object_backend, scene_backend = _load_backends(args, SOURCES)
     manifest = scan_dataset(args.dataset)
@@ -408,7 +425,7 @@ def cmd_experiment(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     report = run_experiment(
         manifest, object_backend, scene_backend, protocol,
-        configs=configs, folds=int(args.folds),
+        configs=configs, folds=folds,
         plan=plan, cache_dir=os.path.join(out_dir, "cache"),
         out_path=os.path.join(out_dir, "report.json"),
     )
@@ -457,10 +474,10 @@ def main(argv=None) -> int:
         _apply_config(args)
         threads = getattr(args, "threads", None)
         if threads is not None:
-            if int(threads) < 1:
+            if threads < 1:
                 raise CliConfigError(f"--threads must be >= 1, got {threads}")
             for var in _THREAD_VARS:
-                os.environ[var] = str(int(threads))
+                os.environ[var] = str(threads)
         return args.handler(args)
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -296,15 +296,17 @@ def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray
         raise ValueError(f"canonical trunk expects 224x224 input, got {x.shape[1:]}")
 
     conv_idx = 0
+    owned = False  # x is an array this loop allocated, so it may be clamped in place
     for layer in spec.layers:
         if layer.kind == CONV3X3:
             entry = bundle.entries[conv_idx]
             x = conv2d(x, entry.kernel, entry.bias)
             conv_idx += 1
         elif layer.kind == RELU:
-            x = relu(x)
+            x = np.maximum(x, np.float32(0.0), out=x if owned else None)
         else:
             x = maxpool2(x)
+        owned = True
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite activations after forward pass")
     return x

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written the dumbest possible way (plain
 loops, closed forms, derivative-free search) and shares no code with the
-library paths it checks.
+library paths it checks. The one exception is `grid_search_nested`, which
+checks how the grid search arranges its solves and scores, and so calls
+the binary solver and the fold assignment, which are checked on their own.
 """
 
 import numpy as np
+
+from scenefuse.classifier import GridSearchReport, stratified_folds, train_binary
 
 
 def conv2d_loops(x, kernel, bias):
@@ -170,3 +174,41 @@ def logreg_brute_force(X, y, c, dim, restarts=60, seed=0):
                        options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun))
     return best
+
+
+def grid_search_nested(X, labels, folds, seed, c_values):
+    """The cost grid search as one nested loop over costs, folds and classes.
+
+    Each (fold, class) solve warm-starts from that pair's solve at the
+    previous cost; a fold's accuracy is the argmax of the per-class
+    decision values, ties to the smallest class id.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    c_values = tuple(int(c) for c in c_values)
+    assignment = stratified_folds(labels, folds, seed)
+    class_ids = sorted(int(v) for v in np.unique(labels))
+
+    splits = []
+    for f in range(folds):
+        val = assignment == f
+        splits.append((X[~val], labels[~val], X[val], labels[val]))
+
+    warm = {}
+    accuracies = []
+    for c in c_values:
+        fold_accs = []
+        for f, (X_tr, y_tr, X_val, y_val) in enumerate(splits):
+            scores = np.empty((X_val.shape[0], len(class_ids)))
+            for k, cls in enumerate(class_ids):
+                y_bin = np.where(y_tr == cls, 1.0, -1.0)
+                w, b = train_binary(X_tr, y_bin, float(c), init=warm.get((f, k)))
+                warm[(f, k)] = (w, b)
+                scores[:, k] = X_val @ w + b
+            pred = np.asarray(class_ids)[np.argmax(scores, axis=1)]
+            fold_accs.append(float(np.mean(pred == y_val)))
+        accuracies.append(sum(fold_accs) / folds)
+
+    best = int(np.argmax(accuracies))
+    return GridSearchReport(c_values=c_values, accuracies=tuple(accuracies),
+                            chosen_c=c_values[best], fold_count=folds)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from scenefuse import classifier
 from scenefuse.classifier import (
     C_GRID, LinearModel, ModelBadMagicError, ModelFileError, ModelTruncatedError,
     decision_values, evaluate, gradient, grid_search_c, load_model, objective,
     predict, save_model, stratified_folds, train_binary, train_ovr,
 )
 
+import oracles
 from corruption import corruptions, load_bytes, saved_bytes
-from oracles import logreg_brute_force, logreg_objective
+from oracles import grid_search_nested, logreg_brute_force, logreg_objective
 
 VALID_MODEL = saved_bytes(save_model, LinearModel(
     class_ids=(0, 1), weights=np.array([[0.5, -1.25], [2.0, 0.125]]),
@@ -158,6 +160,26 @@ class TestOneVsRest:
         wrong = 1 - y
         assert evaluate(model, X, wrong) == 0.0
 
+    def test_warm_start_matches_per_class_solves(self, rng):
+        X, y = blobs(rng, k=3, noise=3.0, spread=2.0)
+        start = train_ovr(X, y, 2)
+        model = train_ovr(X, y, 5, init=start)
+        for k, cls in enumerate(model.class_ids):
+            w, b = train_binary(X, np.where(y == cls, 1.0, -1.0), 5.0,
+                                init=(start.weights[k], start.biases[k]))
+            assert np.array_equal(model.weights[k], w)
+            assert model.biases[k] == b
+        assert model.best_c == 5
+
+    def test_warm_start_must_match_classes_and_dim(self, rng):
+        X, y = blobs(rng, k=3, dim=6)
+        with pytest.raises(ValueError, match="classes"):
+            train_ovr(X, y, 3, init=train_ovr(X, np.where(y == 2, 9, y), 2))
+        with pytest.raises(ValueError, match="classes"):
+            train_ovr(X[y > 0], y[y > 0], 3, init=train_ovr(X, y, 2))
+        with pytest.raises(ValueError, match="dim"):
+            train_ovr(X, y, 3, init=train_ovr(X[:, :4], y, 2))
+
 
 class TestGridSearch:
     def test_covers_full_grid_and_breaks_ties_low(self, rng):
@@ -182,6 +204,36 @@ class TestGridSearch:
         a = grid_search_c(X, y, folds=4, seed=9, c_values=range(1, 8))
         b = grid_search_c(X, y, folds=4, seed=9, c_values=range(1, 8))
         assert a == b
+
+    @pytest.mark.parametrize("case", ["overlapping", "sparse_ids", "separable"])
+    def test_matches_nested_loop_oracle(self, case, rng, monkeypatch):
+        if case == "separable":
+            X, y = blobs(rng, k=2, per_class=12, noise=0.1)
+            folds, seed = 3, 0
+        else:
+            X, y = blobs(rng, k=3, per_class=10, noise=5.0, spread=2.0)
+            folds, seed = 5, 3
+            if case == "sparse_ids":
+                y = np.array([2, 5, 7])[y]
+
+        def recording(log):
+            def solve(X, y, c, init=None):
+                start = None if init is None else (init[0].tobytes(), float(init[1]))
+                log.append((X.tobytes(), y.tobytes(), c, start))
+                return train_binary(X, y, c, init=init)
+            return solve
+
+        solves, oracle_solves = [], []
+        monkeypatch.setattr(classifier, "train_binary", recording(solves))
+        monkeypatch.setattr(oracles, "train_binary", recording(oracle_solves))
+        report = grid_search_c(X, y, folds=folds, seed=seed)
+        assert report == grid_search_nested(X, y, folds, seed, C_GRID)
+        # the same solves, warm starts included, in the same order
+        assert solves == oracle_solves
+        if case == "separable":
+            assert len(set(report.accuracies)) == 1 and report.chosen_c == 1
+        else:
+            assert len(set(report.accuracies)) > 1
 
     def test_small_class_rejected(self, rng):
         X, y = blobs(rng, k=2, per_class=3)

@@ -203,6 +203,50 @@ class TestExperiment:
         assert rc == cli.EXIT_CONFIG
 
 
+def experiment_args(tiny_dataset, weight_files, out):
+    root, _ = tiny_dataset
+    obj_w, scn_w = weight_files
+    return ["experiment", "--dataset", str(root), "--object-weights", obj_w,
+            "--scene-weights", scn_w, "--protocol", "custom", "--train-per-class", "4",
+            "--test-per-class", "2", "--repetitions", "1", "--out", str(out)]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("threads", "two"), ("folds", 2.5), ("pool", "maxx"),
+        ("feature_type", "opp"),
+    ])
+    def test_bad_value_is_config_error(self, key, value, tiny_dataset, weight_files,
+                                       tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        rc = cli.main(experiment_args(tiny_dataset, weight_files, out)
+                      + ["--config", str(cfg)])
+        assert rc == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_folds_below_two_writes_nothing(self, command, source, cache_path,
+                                            tiny_dataset, weight_files, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "train":
+            args = ["train", "--features", cache_path, "--out", str(out)]
+        else:
+            args = experiment_args(tiny_dataset, weight_files, out)
+        if source == "flag":
+            args += ["--folds", "1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"folds": 1}))
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+
 class TestValidateWeights:
     def test_stub_fails_vgg16_but_passes_any(self, weight_files):
         obj_w, _ = weight_files

@@ -240,6 +240,18 @@ class TestForward:
         ref = maxpool2_windows(ref)
         assert normalized_max_error(out, ref) <= 1e-5
 
+    def test_leading_relu_leaves_the_input_alone(self, rng):
+        spec = NetworkSpec((LayerSpec(RELU), LayerSpec(CONV3X3, 3, 4)))
+        bundle = random_bundle(spec, seed=2)
+        x = f32(3, 8, 8, rng=rng)
+        before = x.copy()
+        assert (before < 0).any()
+        out = forward_to_pool5(spec, bundle, x)
+        assert np.array_equal(x, before)
+        ref = conv2d_loops(np.maximum(before, 0.0), bundle.entries[0].kernel,
+                           bundle.entries[0].bias)
+        assert normalized_max_error(out, ref) <= 1e-5
+
     def test_canonical_output_shape(self, rng):
         spec = vgg16_spec()
         bundle = random_bundle(spec, seed=1)
