@@ -389,14 +389,16 @@ def _build_protocol(args):
             "custom protocol needs --train-per-class and --repetitions"
         )
     test = args.test_per_class
-    if test in (None, "rest"):
-        test_per_class = None
-    else:
-        test_per_class = int(test)
-    kind = REPEATED_RANDOM if args.repetitions > 1 else FIXED_PER_CLASS
-    return SplitProtocol(kind=kind, train_per_class=int(args.train_per_class),
-                         test_per_class=test_per_class,
-                         repetitions=int(args.repetitions), seed=int(args.seed))
+    try:
+        test_per_class = None if test in (None, "rest") else int(test)
+        kind = REPEATED_RANDOM if args.repetitions > 1 else FIXED_PER_CLASS
+        return SplitProtocol(kind=kind, train_per_class=int(args.train_per_class),
+                             test_per_class=test_per_class,
+                             repetitions=int(args.repetitions), seed=int(args.seed))
+    except ValueError as exc:
+        raise CliConfigError(
+            f"custom protocol: {exc} (--test-per-class takes an integer >= 1 or 'rest')"
+        ) from None
 
 
 def cmd_experiment(args) -> int:

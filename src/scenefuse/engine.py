@@ -123,11 +123,6 @@ def conv2d_naive(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndar
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x); shape preserved."""
-    return np.maximum(np.asarray(x, dtype=np.float32), np.float32(0.0))
-
-
 def maxpool2(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling with stride 2 over non-overlapping windows.
 

@@ -5,6 +5,14 @@ Destination pixel centers map to source coordinates via
 by most image libraries' ``align_corners=False`` mode. Out-of-range
 coordinates clamp to the border, so resizing a constant image yields the
 same constant, and resizing to the identical size is an exact identity.
+
+It runs as two one-axis passes, interpolating along x over as few rows as
+it can. When the output has at most half the source rows, the two source
+rows of each output row are gathered first and interpolated along x;
+otherwise x is interpolated over the source rows and the result's rows
+are gathered. Either way each output pixel is the float32
+``(a*(1-wx) + b*wx)*(1-wy) + (c*(1-wx) + d*wx)*wy`` of its upper (a, b) and
+lower (c, d) neighbours, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +30,19 @@ def _axis_coords(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, 
     return lo, hi, (coords - lo).astype(np.float32)
 
 
+def _lerp(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`lo * (1 - w) + hi * w`, computed in place; overwrites `lo` and `hi`."""
+    lo *= 1.0 - w
+    hi *= w
+    lo += hi
+    return lo
+
+
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize the last two axes of `img` to (out_h, out_w).
 
     Works on (H, W) grids and on channel-major (C, H, W) stacks alike.
-    Returns float32.
+    Returns a new C-contiguous float32 array.
     """
     if img.ndim < 2:
         raise ValueError(f"need at least 2 dimensions, got shape {img.shape}")
@@ -40,10 +56,14 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y0, y1, wy = _axis_coords(src_h, out_h)
     x0, x1, wx = _axis_coords(src_w, out_w)
 
-    # gather the four neighbours; broadcasting keeps leading axes intact
-    top = img[..., y0[:, None], x0[None, :]] * (1.0 - wx)[None, :] + \
-        img[..., y0[:, None], x1[None, :]] * wx[None, :]
-    bot = img[..., y1[:, None], x0[None, :]] * (1.0 - wx)[None, :] + \
-        img[..., y1[:, None], x1[None, :]] * wx[None, :]
-    out = top * (1.0 - wy)[:, None] + bot * wy[:, None]
-    return out.astype(np.float32)
+    def along_x(rows: np.ndarray) -> np.ndarray:
+        return _lerp(rows.take(x0, axis=-1), rows.take(x1, axis=-1), wx)
+
+    # take() returns fresh C-ordered copies (fancy indexing would put the
+    # indexed axis outermost in memory), so every gathered array is ours
+    if 2 * out_h <= src_h:
+        top, bot = along_x(img.take(y0, axis=-2)), along_x(img.take(y1, axis=-2))
+    else:
+        cols = along_x(img)
+        top, bot = cols.take(y0, axis=-2), cols.take(y1, axis=-2)
+    return _lerp(top, bot, wy[:, None])

@@ -5,7 +5,8 @@ triangles split by the two main diagonals, quadrant sectors of the
 inscribed disc, and bands parallel to each diagonal. Masks come first
 (boolean grids plus tight bounding boxes); rendering composites the fill
 colour into masked-out pixels inside the bounding box and resizes the
-crop back to 224x224.
+crop back to 224x224. The 20 masks of a working size are built once and
+shared, so every mask array is read-only.
 
 Boundary and tie-break rules are normative here, chosen so that the
 rectangular, triangular and both diagonal mask sets each partition the
@@ -16,6 +17,7 @@ disc (pixel centres strictly inside radius size/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class SliceMask:
 
     technique: str
     index: int
-    mask: np.ndarray  # bool, (size, size)
+    mask: np.ndarray  # bool, (size, size), read-only
     bbox: tuple[int, int, int, int]  # top, left, height, width
 
 
@@ -56,6 +58,8 @@ def _tight_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _make(technique: str, masks: list[np.ndarray]) -> list[SliceMask]:
+    for m in masks:
+        m.setflags(write=False)
     return [
         SliceMask(technique=technique, index=i, mask=m, bbox=_tight_bbox(m))
         for i, m in enumerate(masks)
@@ -170,12 +174,13 @@ _GENERATORS = {
 }
 
 
-def all_masks(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """All 20 masks in fixed order: rect 0-3, tri 0-3, circ 0-3, ldiag 0-3, rdiag 0-3."""
-    masks: list[SliceMask] = []
-    for technique in TECHNIQUES:
-        masks.extend(_GENERATORS[technique](size))
-    return masks
+@lru_cache(maxsize=8)
+def all_masks(size: int = WORKING_SIZE) -> tuple[SliceMask, ...]:
+    """All 20 masks in fixed order: rect 0-3, tri 0-3, circ 0-3, ldiag 0-3, rdiag 0-3.
+
+    Built once per size; every call with that size returns the same tuple.
+    """
+    return tuple(m for technique in TECHNIQUES for m in _GENERATORS[technique](size))
 
 
 def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> SubImage:

@@ -9,10 +9,16 @@ def pytest_configure(config):
     )
 
 
+# setup seconds per test, so that work done in fixtures shows on its ACCEPTANCE line
+_SETUP_S = pytest.StashKey[float]()
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
+    if report.when == "setup":
+        item.stash[_SETUP_S] = report.duration
     if report.when != "call":
         return
     marker = item.get_closest_marker("criterion")
@@ -23,6 +29,7 @@ def pytest_runtest_makereport(item, call):
     if terminal is not None:
         terminal.write_line(
             f"\nACCEPTANCE criterion {marker.args[0]}: {status} - {marker.args[1]}"
+            f" ({report.duration:.1f} s, setup {item.stash.get(_SETUP_S, 0.0):.1f} s)"
         )
 
 

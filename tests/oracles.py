@@ -143,6 +143,31 @@ def bilinear_resize_pointwise(img_hw, out_h, out_w):
     return out
 
 
+def bilinear_resize_gather(img, out_h, out_w):
+    """The four-gather float32 bilinear resize of the last two axes.
+
+    Gathers the four neighbour grids by broadcast fancy indexing and blends
+    them as ``(a*(1-wx) + b*wx)*(1-wy) + (c*(1-wx) + d*wx)*wy``, one float32
+    operation at a time, so any float32 resize that rounds the same
+    operations in the same order must match it bit for bit.
+    """
+
+    def axis(src_size, dst_size):
+        coords = (np.arange(dst_size, dtype=np.float64) + 0.5) * (src_size / dst_size) - 0.5
+        coords = np.clip(coords, 0.0, src_size - 1.0)
+        lo = np.floor(coords).astype(np.intp)
+        return lo, np.minimum(lo + 1, src_size - 1), (coords - lo).astype(np.float32)
+
+    img = np.asarray(img, dtype=np.float32)
+    y0, y1, wy = axis(img.shape[-2], out_h)
+    x0, x1, wx = axis(img.shape[-1], out_w)
+    top = img[..., y0[:, None], x0[None, :]] * (1.0 - wx)[None, :] + \
+        img[..., y0[:, None], x1[None, :]] * wx[None, :]
+    bot = img[..., y1[:, None], x0[None, :]] * (1.0 - wx)[None, :] + \
+        img[..., y1[:, None], x1[None, :]] * wx[None, :]
+    return (top * (1.0 - wy)[:, None] + bot * wy[:, None]).astype(np.float32)
+
+
 def logreg_objective(w, b, X, y, c):
     """The primal objective, written independently of the library."""
     total = 0.5 * float(np.dot(w, w))

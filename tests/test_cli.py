@@ -246,6 +246,17 @@ class TestConfigValues:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_test_per_class_writes_nothing(self, value, tiny_dataset, weight_files,
+                                               tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = experiment_args(tiny_dataset, weight_files, out)
+        args[args.index("--test-per-class") + 1] = value
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "test-per-class" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestValidateWeights:
     def test_stub_fails_vgg16_but_passes_any(self, weight_files):

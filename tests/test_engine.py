@@ -6,7 +6,7 @@ import pytest
 from scenefuse import engine
 from scenefuse.engine import (
     CONV3X3, MAXPOOL2, RELU, LayerSpec, NetworkSpec, conv2d, conv2d_naive,
-    forward_to_pool5, gap, maxpool2, relu, vgg16_spec,
+    forward_to_pool5, gap, maxpool2, vgg16_spec,
 )
 from scenefuse.weights import random_bundle
 
@@ -134,21 +134,6 @@ class TestConv2d:
         kernel = f32(5, 3, 3, 3, rng=rng)
         bias = f32(5, rng=rng)
         assert np.array_equal(conv2d(x, kernel, bias), conv2d(x, kernel, bias))
-
-
-class TestRelu:
-    def test_examples(self):
-        assert np.array_equal(
-            relu(np.array([[[-1.0, 0.0, 2.0]]], dtype=np.float32)),
-            np.array([[[0.0, 0.0, 2.0]]], dtype=np.float32),
-        )
-
-    def test_all_negative(self):
-        assert not relu(np.full((2, 3, 3), -4.0, dtype=np.float32)).any()
-
-    def test_identity_on_nonnegative(self, rng):
-        x = np.abs(f32(2, 4, 4, rng=rng))
-        assert np.array_equal(relu(x), x)
 
 
 class TestMaxpool2:

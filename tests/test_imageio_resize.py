@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenefuse.imageio import (
     NetpbmError, read_pgm, read_ppm, read_raster, write_pgm, write_ppm,
@@ -8,11 +9,15 @@ from scenefuse.imageio import (
 from scenefuse.resize import bilinear_resize
 
 from corruption import corruptions, load_bytes, saved_bytes
-from oracles import bilinear_resize_pointwise
+from oracles import bilinear_resize_gather, bilinear_resize_pointwise
 
 VALID_PPM = saved_bytes(lambda arr, path: write_ppm(path, arr),
                         np.arange(60, dtype=np.uint8).reshape(4, 5, 3))
 NON_NUMERIC_HEADER = VALID_PPM.replace(b"5 4", b"5 x", 1)
+
+# (channels or None for a 2-D grid, src_h, src_w, out_h, out_w, seed)
+RESIZE_CASES = st.tuples(st.sampled_from([None, 1, 3]), *[st.integers(1, 40)] * 4,
+                         st.integers(0, 2**32 - 1))
 
 
 class TestNetpbm:
@@ -108,3 +113,35 @@ class TestBilinearResize:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             bilinear_resize(np.zeros((3, 4, 4), dtype=np.float32), 0, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RESIZE_CASES)
+    # the six slice bounding-box shapes at the 224 working size
+    @example((3, 111, 111, 224, 224, 0))
+    @example((3, 112, 112, 224, 224, 1))
+    @example((3, 112, 223, 224, 224, 2))
+    @example((3, 223, 112, 224, 224, 3))
+    @example((3, 223, 223, 224, 224, 4))
+    @example((3, 224, 224, 224, 224, 5))
+    # photo sizes resized to the working image
+    @example((3, 480, 640, 224, 224, 6))
+    @example((3, 375, 500, 224, 224, 7))
+    @example((3, 640, 480, 224, 224, 8))
+    # one-pixel extents, up and down
+    @example((None, 1, 1, 7, 1, 9))
+    @example((None, 9, 5, 1, 1, 10))
+    def test_bit_identical_to_gather_oracle(self, case):
+        channels, src_h, src_w, out_h, out_w, seed = case
+        shape = (src_h, src_w) if channels is None else (channels, src_h, src_w)
+        img = (np.random.default_rng(seed).standard_normal(shape) * 100).astype(np.float32)
+        out = bilinear_resize(img, out_h, out_w)
+        ref = bilinear_resize_gather(img, out_h, out_w)
+        assert out.dtype == np.float32 and out.shape == ref.shape
+        assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("size", [(40, 56), (480, 640)])
+    def test_channel_last_view_gives_contiguous_output(self, size, rng):
+        raster = rng.random(size + (3,)).astype(np.float32)
+        out = bilinear_resize(raster.transpose(2, 0, 1), 224, 224)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, bilinear_resize_gather(raster.transpose(2, 0, 1), 224, 224))

@@ -7,12 +7,20 @@ from scenefuse.slicing import (
     rect_slices, render_slice, slice_all, tri_slices,
 )
 
+from oracles import bilinear_resize_gather
+
 PARTITION_TECHNIQUES = {
     "rect": rect_slices,
     "tri": tri_slices,
     "ldiag": ldiag_slices,
     "rdiag": rdiag_slices,
 }
+GENERATORS = {**PARTITION_TECHNIQUES, "circ": circ_slices}
+
+
+def fresh_masks(size):
+    """The 20 masks built anew, bypassing the per-size cache of `all_masks`."""
+    return [m for t in TECHNIQUES for m in GENERATORS[t](size)]
 
 
 class TestMaskGeometry:
@@ -88,6 +96,22 @@ class TestMaskGeometry:
         with pytest.raises(ValueError, match="even"):
             rect_slices(7)
 
+    def test_masks_built_once_per_size(self):
+        first = all_masks(224)
+        assert all_masks(224) is first
+        assert isinstance(first, tuple)
+        for cached, fresh in zip(first, fresh_masks(224), strict=True):
+            assert (cached.technique, cached.index, cached.bbox) == (
+                fresh.technique, fresh.index, fresh.bbox)
+            assert np.array_equal(cached.mask, fresh.mask)
+
+    def test_cached_masks_are_read_only(self):
+        for m in all_masks(224):
+            with pytest.raises(ValueError, match="read-only"):
+                m.mask[m.bbox[0], m.bbox[1]] = False
+        assert all(np.array_equal(c.mask, f.mask)
+                   for c, f in zip(all_masks(224), fresh_masks(224)))
+
 
 class TestRendering:
     def test_rect_render_is_pure_crop_resize(self, rng):
@@ -146,6 +170,16 @@ class TestSliceAll:
         b = slice_all(image, fill=(1.0, 2.0, 3.0))
         for s1, s2 in zip(a, b):
             assert np.array_equal(s1.pixels, s2.pixels)
+
+    def test_matches_four_gather_render(self, rng):
+        image = rng.random((3, 224, 224)).astype(np.float32) * 255
+        fill = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        for sub, m in zip(slice_all(image, fill=fill), fresh_masks(224), strict=True):
+            top, left, height, width = m.bbox
+            window = (slice(top, top + height), slice(left, left + width))
+            crop = np.where(m.mask[window], image[(slice(None),) + window], fill[:, None, None])
+            ref = bilinear_resize_gather(crop, 224, 224)
+            assert np.array_equal(sub.pixels.view(np.uint32), ref.view(np.uint32))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="working image"):
