@@ -6,39 +6,9 @@ VGG16-shaped trunk via a built-in inference engine, four-way feature
 fusion, and a grid-searched one-vs-rest L2 logistic-regression classifier
 with benchmark-style dataset split protocols.
 
-Submodules are imported lazily so the command-line entry point can pin
-BLAS thread pools before numpy loads::
-
-    from scenefuse import engine, pipeline, classifier
+Import the submodules by name (``from scenefuse import engine``). This
+package imports none of them, so ``scenefuse.cli`` can pin BLAS thread
+pools before numpy loads.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "cache",
-    "classifier",
-    "cli",
-    "datasets",
-    "engine",
-    "experiment",
-    "imageio",
-    "pipeline",
-    "resize",
-    "slicing",
-    "synthetic",
-    "weights",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -43,6 +43,10 @@ _CONFIG_KEYS = {"object_weights": str, "scene_weights": str, "pool": _POOLS,
 
 _DEFAULTS = {"pool": "concat", "feature_type": "hdf", "seed": 0, "folds": 5}
 
+# bad input data, exit 3; the loaders' typed errors (NetpbmError, WeightFileError,
+# CacheFileError, DatasetError, ModelFileError) all derive from ValueError
+_DATA_ERRORS = (ValueError, FloatingPointError, OSError)
+
 
 class CliConfigError(Exception):
     """Invalid flags, config values, or missing input paths."""
@@ -201,34 +205,22 @@ def _load_backends(args, sources):
 
 
 def _spec_for_bundle(bundle):
-    """Reconstruct the trunk a bundle belongs to.
+    """The known trunk whose conv shapes are the bundle's kernel shapes.
 
-    The canonical trunk is recognised by its conv shapes; other bundles
-    (e.g. stub trunks from the synthetic helpers) are matched against the
-    stub layout. Anything else is rejected: the file format carries no
-    layer sequence, so the trunk must be one the toolkit knows.
+    The file format carries no layer sequence, so the candidates are the
+    canonical vgg16 trunk and, for a 2-entry bundle, the stub trunk of the
+    synthetic helpers with the bundle's channel counts.
     """
     from .engine import vgg16_spec
     from .synthetic import stub_spec
 
-    def fits(spec) -> bool:
-        convs = spec.conv_layers
-        if len(convs) != len(bundle.entries):
-            return False
-        return all(
-            tuple(e.kernel.shape) == (l.out_channels, l.in_channels, 3, 3)
-            for e, l in zip(bundle.entries, convs)
-        )
-
-    canonical = vgg16_spec()
-    if fits(canonical):
-        return canonical
-    if len(bundle.entries) == 2:
-        first, second = bundle.entries
-        candidate = stub_spec(mid_channels=first.kernel.shape[0],
-                              out_channels=second.kernel.shape[0])
-        if fits(candidate):
-            return candidate
+    shapes = [tuple(e.kernel.shape) for e in bundle.entries]
+    candidates = [vgg16_spec()]
+    if len(shapes) == 2:
+        candidates.append(stub_spec(shapes[0][0], shapes[1][0]))
+    for spec in candidates:
+        if shapes == [(l.out_channels, l.in_channels, 3, 3) for l in spec.conv_layers]:
+            return spec
     raise CliConfigError(
         "weight bundle matches neither the canonical vgg16 trunk nor a stub trunk"
     )
@@ -297,7 +289,7 @@ def cmd_extract(args) -> int:
                                          read_raster(path), config.sources)
             values = config_matrix({s: v[None] for s, v in base.items()}, config)[0]
             records.append(FeatureRecord(label=int(label), path=path, values=values))
-        except Exception as exc:  # reported per file, summarized at the end
+        except _DATA_ERRORS as exc:  # a bad file: reported, summarized at the end
             failures += 1
             print(f"error: {path}: {exc}", file=sys.stderr)
     if not records:
@@ -437,7 +429,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate_weights(args) -> int:
-    from .engine import vgg16_spec
+    from .engine import validate_bundle, vgg16_spec
     from .weights import load_weights
 
     spec = vgg16_spec() if args.trunk == "vgg16" else None
@@ -446,7 +438,7 @@ def cmd_validate_weights(args) -> int:
     for path in args.files:
         bundle = load_weights(path)
         if spec is not None:
-            bundle.validate_against(spec)
+            validate_bundle(spec, bundle)
         total = sum(e.kernel.size + e.bias.size for e in bundle.entries)
         print(f"{path}: {len(bundle.entries)} conv entries, {total} parameters, "
               f"means {[round(float(m), 2) for m in bundle.means]} "
@@ -484,18 +476,10 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _DATA_ERRORS as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except Exception as exc:
-        from .cache import CacheFileError
-        from .classifier import ModelFileError
-        from .datasets import DatasetError
-        from .imageio import NetpbmError
-        from .weights import WeightFileError
-
-        data_errors = (NetpbmError, WeightFileError, CacheFileError, DatasetError,
-                       ModelFileError, ValueError, FloatingPointError, OSError)
-        if isinstance(exc, data_errors):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,9 +1,9 @@
 """Minimal CNN forward-pass engine.
 
-Evaluates a VGG16-shaped convolutional trunk (3x3 convolutions, ReLU,
-2x2 max pooling) up to the output of its fifth pooling layer, which is
-where the feature pipeline reads activations. Three design rules hold
-throughout:
+Evaluates a VGG16-shaped convolutional trunk, described by its 3x3
+convolutions (each followed by a ReLU) and 2x2 max poolings, up to the
+output of its fifth pooling layer, which is where the feature pipeline
+reads activations. Three design rules hold throughout:
 
 * activations are channel-major float32 arrays of shape (C, H, W);
 * every operation is a pure function, so results are bit-deterministic
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONV3X3 = "conv3x3"
-RELU = "relu"
 MAXPOOL2 = "maxpool2"
 
 # bytes of im2col columns per block of output rows in `conv2d`: about one L2 cache
@@ -148,14 +147,14 @@ def gap(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the trunk: `conv3x3` (with channel counts), `relu`, or `maxpool2`."""
+    """One trunk layer: `conv3x3` (with channel counts, ReLU implied) or `maxpool2`."""
 
     kind: str
     in_channels: int = 0
     out_channels: int = 0
 
     def __post_init__(self):
-        if self.kind not in (CONV3X3, RELU, MAXPOOL2):
+        if self.kind not in (CONV3X3, MAXPOOL2):
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == CONV3X3 and (self.in_channels < 1 or self.out_channels < 1):
             raise ValueError(
@@ -197,16 +196,6 @@ class NetworkSpec:
                 return layer.in_channels
         raise ValueError("spec has no conv layer")
 
-    @property
-    def output_channels(self) -> int:
-        out = None
-        for layer in self.layers:
-            if layer.kind == CONV3X3:
-                out = layer.out_channels
-        if out is None:
-            raise ValueError("spec has no conv layer")
-        return out
-
 
 _VGG16_BLOCKS = ((64, 64), (128, 128), (256, 256, 256), (512, 512, 512), (512, 512, 512))
 
@@ -223,14 +212,9 @@ def vgg16_spec() -> NetworkSpec:
     for block in _VGG16_BLOCKS:
         for out_ch in block:
             layers.append(LayerSpec(CONV3X3, in_ch, out_ch))
-            layers.append(LayerSpec(RELU))
             in_ch = out_ch
         layers.append(LayerSpec(MAXPOOL2))
     return NetworkSpec(tuple(layers))
-
-
-def is_canonical_spec(spec: NetworkSpec) -> bool:
-    return spec == vgg16_spec()
 
 
 def validate_bundle(spec: NetworkSpec, bundle) -> None:
@@ -269,11 +253,14 @@ def validate_bundle(spec: NetworkSpec, bundle) -> None:
 def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray:
     """Run `image` through every layer of `spec` with weights from `bundle`.
 
-    For the canonical VGG16 trunk this maps a preprocessed 3x224x224 image
-    to the 512x7x7 output of the fifth pooling layer. Arbitrary specs are
-    accepted as long as the input survives all poolings (spatial dims
-    divisible by 2**pool_count); the canonical spec additionally insists on
-    a 224x224 input, which is what the preprocessing stage produces.
+    Each conv output is clamped at zero in place, the ReLU that follows
+    every conv; `conv2d` returns a fresh array, so `image` is never
+    written. For the canonical VGG16 trunk this maps a preprocessed
+    3x224x224 image to the 512x7x7 output of the fifth pooling layer.
+    Arbitrary specs are accepted as long as the input survives all
+    poolings (spatial dims divisible by 2**pool_count); the canonical spec
+    additionally insists on a 224x224 input, which is what the
+    preprocessing stage produces.
     """
     validate_bundle(spec, bundle)
     x = _as_f32(image, "image", 3)
@@ -287,21 +274,18 @@ def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray
             f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by {divisor} "
             f"({spec.pool_count} pooling layers)"
         )
-    if is_canonical_spec(spec) and x.shape[1:] != (224, 224):
+    if spec == vgg16_spec() and x.shape[1:] != (224, 224):
         raise ValueError(f"canonical trunk expects 224x224 input, got {x.shape[1:]}")
 
     conv_idx = 0
-    owned = False  # x is an array this loop allocated, so it may be clamped in place
     for layer in spec.layers:
         if layer.kind == CONV3X3:
             entry = bundle.entries[conv_idx]
             x = conv2d(x, entry.kernel, entry.bias)
+            np.maximum(x, np.float32(0.0), out=x)
             conv_idx += 1
-        elif layer.kind == RELU:
-            x = np.maximum(x, np.float32(0.0), out=x if owned else None)
         else:
             x = maxpool2(x)
-        owned = True
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite activations after forward pass")
     return x

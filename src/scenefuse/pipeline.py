@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NetworkSpec, forward_to_pool5, gap
+from .engine import NetworkSpec, forward_to_pool5, gap, validate_bundle
 from .resize import bilinear_resize
 from .slicing import WORKING_SIZE, slice_all
 from .weights import WeightBundle
@@ -43,7 +43,7 @@ class Backend:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
-        self.weights.validate_against(self.spec)
+        validate_bundle(self.spec, self.weights)
 
     @property
     def means(self) -> np.ndarray:

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .datasets import DatasetManifest, scan_dataset
-from .engine import CONV3X3, MAXPOOL2, RELU, LayerSpec, NetworkSpec
+from .engine import CONV3X3, MAXPOOL2, LayerSpec, NetworkSpec
 from .imageio import write_ppm
 from .pipeline import Backend
 from .weights import random_bundle
@@ -27,13 +27,11 @@ def stub_spec(mid_channels: int = 8, out_channels: int = 512) -> NetworkSpec:
     """
     return NetworkSpec((
         LayerSpec(CONV3X3, 3, mid_channels),
-        LayerSpec(RELU),
         LayerSpec(MAXPOOL2),
         LayerSpec(MAXPOOL2),
         LayerSpec(MAXPOOL2),
         LayerSpec(MAXPOOL2),
         LayerSpec(CONV3X3, mid_channels, out_channels),
-        LayerSpec(RELU),
         LayerSpec(MAXPOOL2),
     ))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NetworkSpec, validate_bundle
+from .engine import NetworkSpec
 
 MAGIC = b"HDFW"
 FORMAT_VERSION = 1
@@ -64,9 +64,6 @@ class WeightBundle:
 
     entries: tuple[ConvEntry, ...]
     means: np.ndarray  # (3,) float32, pixel-intensity units
-
-    def validate_against(self, spec: NetworkSpec) -> None:
-        validate_bundle(spec, self)
 
 
 def save_weights(bundle: WeightBundle, path: str) -> None:

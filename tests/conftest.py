@@ -26,10 +26,12 @@ def pytest_runtest_makereport(item, call):
         return
     status = "PASS" if report.passed else ("SKIP" if report.skipped else "FAIL")
     terminal = item.config.pluginmanager.get_plugin("terminalreporter")
+    # a test may add (name, value) pairs to its user_properties for this line
+    extra = "".join(f", {name} {value}" for name, value in report.user_properties)
     if terminal is not None:
         terminal.write_line(
             f"\nACCEPTANCE criterion {marker.args[0]}: {status} - {marker.args[1]}"
-            f" ({report.duration:.1f} s, setup {item.stash.get(_SETUP_S, 0.0):.1f} s)"
+            f" ({report.duration:.1f} s, setup {item.stash.get(_SETUP_S, 0.0):.1f} s{extra})"
         )
 
 

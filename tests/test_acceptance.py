@@ -258,8 +258,9 @@ def experiment_runs(tmp_path_factory):
 
 
 @pytest.mark.criterion(8, "experiment: bit-identical JSON across runs, < 120 s")
-def test_end_to_end_determinism(experiment_runs):
+def test_end_to_end_determinism(experiment_runs, request):
     first, second, t1, t2 = experiment_runs
+    request.node.user_properties.append(("runs", f"{t1:.1f} s and {t2:.1f} s of 120 s each"))
     assert first == second, "reports differ between identical runs"
     assert t1 < 120.0, f"first run took {t1:.1f}s"
     assert t2 < 120.0, f"second run took {t2:.1f}s"

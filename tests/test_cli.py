@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +284,59 @@ class TestValidateWeights:
         assert cli.main(["validate-weights", str(bad), "--trunk", "any"]) == cli.EXIT_DATA
 
 
+class TestTrunkRecognition:
+    """`extract` finds the trunk of a weight file from its kernel shapes alone."""
+
+    @staticmethod
+    def extract(tiny_dataset, weights_path, out):
+        root, _ = tiny_dataset
+        return cli.main(["extract", "--dataset", str(root), "--feature-type", "ow",
+                         "--object-weights", str(weights_path), "--out", str(out)])
+
+    def test_vgg16_bundle_resolves_to_vgg16(self, tmp_path):
+        import argparse
+
+        from scenefuse.engine import vgg16_spec
+        from scenefuse.weights import random_bundle
+
+        path = tmp_path / "vgg.hdfw"
+        save_weights(random_bundle(vgg16_spec(), seed=0), str(path))
+        args = argparse.Namespace(object_weights=str(path), scene_weights=None)
+        obj, scn = cli._load_backends(args, ("ow",))
+        assert obj.spec == vgg16_spec() and scn is None
+
+    def test_stub_with_other_mid_channels_extracts(self, tiny_dataset, tmp_path):
+        from scenefuse.synthetic import stub_spec
+        from scenefuse.weights import random_bundle
+
+        path = tmp_path / "stub4.hdfw"
+        save_weights(random_bundle(stub_spec(mid_channels=4), seed=0), str(path))
+        assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_OK
+        dim, records = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
+        assert dim == 512 and len(records) == tiny_dataset[1].total_images
+
+    def test_unknown_trunk_is_config_error(self, tiny_dataset, tmp_path):
+        from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
+        from scenefuse.weights import random_bundle
+
+        spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 4),
+                            LayerSpec(CONV3X3, 4, 512)))
+        path = tmp_path / "three.hdfw"
+        save_weights(random_bundle(spec, seed=0), str(path))
+        assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_means_is_data_error(self, tiny_dataset, tmp_path):
+        from scenefuse.synthetic import stub_spec
+        from scenefuse.weights import random_bundle
+
+        path = tmp_path / "hot.hdfw"
+        save_weights(random_bundle(stub_spec(), seed=0, means=(300.0, 0.0, 0.0)),
+                     str(path))
+        assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_DATA
+        assert not (tmp_path / "o").exists()
+
+
 class TestBenchAndConfig:
     def test_bench_json(self, capsys):
         rc = cli.main(["bench", "--channels-in", "2", "--height", "16",
@@ -318,6 +374,16 @@ class TestBenchAndConfig:
                        "--threads", "0"])
         assert rc == cli.EXIT_CONFIG
 
+    def test_parser_leaves_numpy_unloaded(self):
+        # --threads pins the BLAS pools through the environment, which only
+        # works if numpy is not yet loaded when main applies it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys, scenefuse.cli; scenefuse.cli.build_parser(); "
+                "sys.exit('numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert done.returncode == 0
+
 
 class TestExtractFailures:
     def test_partial_failures_reported_and_counted(self, tiny_dataset, weight_files,
@@ -342,6 +408,27 @@ class TestExtractFailures:
         # successful records are still flushed
         dim, records = load_cache(str(next(out.glob("*.hdfc"))))
         assert len(records) == 17
+
+    def test_program_error_exits_internal_at_the_first_file(
+            self, tiny_dataset, weight_files, tmp_path, capsys, monkeypatch):
+        from scenefuse import pipeline
+
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise TypeError("a bug, not a bad file")
+
+        monkeypatch.setattr(pipeline, "extract_base_features", broken)
+        root, _ = tiny_dataset
+        obj_w, scn_w = weight_files
+        out = tmp_path / "features"
+        rc = cli.main(["extract", "--dataset", str(root), "--object-weights", obj_w,
+                       "--scene-weights", scn_w, "--out", str(out)])
+        assert rc == cli.EXIT_INTERNAL
+        assert len(calls) == 1
+        assert "internal error: TypeError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_slice_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ppm"
