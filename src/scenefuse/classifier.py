@@ -10,12 +10,27 @@ backtracking, so the objective is non-increasing across accepted
 iterations. It stops when the gradient norm falls below
 ``tol * max(1, initial gradient norm)`` or at the iteration cap.
 
-Multiclass is one binary model per class versus the rest; prediction is
-the argmax of decision values with ties broken toward the smallest class
-id. `train_ovr` is the one loop over classes and carries the warm start.
-The cost parameter is tuned by stratified k-fold cross-validation over
-the integer grid C = 1..100, ties toward the smaller C, refitting each
-fold's model through `train_ovr` along the ascending C path.
+`train_stack` is the one solver. It runs that method on a stack of binary
+problems over shared rows at once: the arrays carry the problems' leading
+axes, every product with the rows is one matrix product for all of them,
+the CG and Armijo scalars are kept per problem, and a per-row cost of zero
+leaves a row out of a problem. Every problem is computed at every step; one
+that has converged or stalled is frozen by masking, so each follows the
+iterations it would follow alone. `train_binary` is a one-problem call,
+`train_ovr` a K-problem call (one model per class versus the rest), and
+`grid_search_c` one call per cost over every (fold, class) pair,
+warm-started from the previous cost.
+
+When the rows are fewer (N) than the dimensions (D), the problems are
+solved in their row space: each optimum satisfies w = X^T a, so with the
+thin QR X^T = QR the solver works on R^T (N x N) and w = Qz, while the CG
+cap stays that of the original D (Lin, Weng & Keerthi, JMLR 2008, for the
+solver). One basis of all the tuning rows holds every fold's row space.
+
+Prediction is the argmax of decision values with ties broken toward the
+smallest class id. The cost parameter is tuned by stratified k-fold
+cross-validation over the integer grid C = 1..100, ties toward the
+smaller C.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ class ModelTruncatedError(ModelFileError):
 
 
 # ---------------------------------------------------------------------------
-# Binary solver
+# The solver
 # ---------------------------------------------------------------------------
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -51,34 +66,172 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-def objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, c: float) -> float:
-    margins = y * (X @ w + b)
-    return float(0.5 * (w @ w) + c * np.sum(np.logaddexp(0.0, -margins)))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
 
 
-def gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, c: float):
-    """Returns (grad_w, grad_b, margins)."""
-    margins = y * (X @ w + b)
+def _times_xt(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """v X^T for every problem: (..., D) -> (..., N), as one matrix product."""
+    return (v.reshape(-1, X.shape[1]) @ X.T).reshape(v.shape[:-1] + (X.shape[0],))
+
+
+def _times_x(t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """t X for every problem: (..., N) -> (..., D), as one matrix product."""
+    return (t.reshape(-1, X.shape[0]) @ X).reshape(t.shape[:-1] + (X.shape[1],))
+
+
+def _margins(w, b, X, y):
+    return y * (_times_xt(w, X) + np.expand_dims(b, -1))
+
+
+def objective(w, b, X: np.ndarray, y: np.ndarray, c) -> np.ndarray:
+    """f(w, b) of every problem in a stack.
+
+    The rows X (N, D) are shared; w (..., D), b (...) and labels y (..., N)
+    have the problems' leading axes, and the cost c is a scalar or per row,
+    broadcast against y. A row of cost zero is left out of its problem.
+    """
+    margins = _margins(w, b, X, y)
+    return 0.5 * _dot(w, w) + np.sum(c * np.logaddexp(0.0, -margins), axis=-1)
+
+
+def gradient(w, b, X: np.ndarray, y: np.ndarray, c):
+    """Returns (grad_w, grad_b, margins), with the axes of `objective`."""
+    margins = _margins(w, b, X, y)
     coef = c * (y * _sigmoid(-margins))
-    return w - X.T @ coef, float(-np.sum(coef)), margins
+    return w - _times_x(coef, X), -np.sum(coef, axis=-1), margins
 
 
-def _check_training_inputs(X: np.ndarray, y: np.ndarray, c: float):
+def train_stack(X: np.ndarray, y: np.ndarray, c, w: np.ndarray, b: np.ndarray,
+                tol: float = DEFAULT_TOL, max_cg: int | None = None,
+                history: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fit a stack of binary problems on shared rows from (w, b); returns new (w, b).
+
+    Arrays are as in `objective`: X (N, D), labels y (..., N), costs c,
+    start w (..., D) and b (...). `max_cg` caps the CG iterations per Newton
+    step (default min(D + 1, 250)). If `history` is a list, the objective
+    values (...) are appended at the start and after each iteration that
+    accepted a step.
+    """
+    w = np.array(w, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    if max_cg is None:
+        max_cg = min(X.shape[1] + 1, 250)
+    grad_w, grad_b, margins = gradient(w, b, X, y, c)
+    gnorm0 = np.sqrt(_dot(grad_w, grad_w) + grad_b * grad_b)
+    threshold = tol * np.maximum(1.0, gnorm0)
+    fval = objective(w, b, X, y, c)
+    if history is not None:
+        history.append(fval.copy())
+
+    active = np.ones(b.shape, dtype=bool)  # neither converged nor stalled
+    for _ in range(MAX_ITER):
+        gnorm = np.sqrt(_dot(grad_w, grad_w) + grad_b * grad_b)
+        active &= gnorm > threshold
+        if not active.any():
+            break
+        d = c * _sigmoid(margins) * _sigmoid(-margins)  # Hessian data weights
+
+        step_w, step_b = _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0,
+                                           active, max_cg)
+        descent = _dot(grad_w, step_w) + grad_b * step_b
+        uphill = descent >= 0  # CG failed to produce a descent direction
+        step_w = np.where(uphill[..., None], -grad_w, step_w)
+        step_b = np.where(uphill, -grad_b, step_b)
+        descent = np.where(uphill, -gnorm * gnorm, descent)
+
+        alpha = np.ones(b.shape)
+        searching = active.copy()
+        trial_f = fval
+        for _ in range(60):
+            f = objective(w + alpha[..., None] * step_w, b + alpha * step_b, X, y, c)
+            accepted = searching & (f <= fval + 1e-4 * alpha * descent)
+            trial_f = np.where(accepted, f, trial_f)
+            searching &= ~accepted
+            if not searching.any():
+                break
+            alpha = np.where(searching, 0.5 * alpha, alpha)
+        active &= ~searching  # step underflow; the gradient is already tiny in practice
+        # the accepted trial points again, by the same arithmetic
+        w = np.where(active[..., None], w + alpha[..., None] * step_w, w)
+        b = np.where(active, b + alpha * step_b, b)
+        fval = np.where(active, trial_f, fval)
+        if history is not None and active.any():
+            history.append(fval.copy())
+        grad_w, grad_b, margins = gradient(w, b, X, y, c)
+    return w, b
+
+
+def _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0, active, max_cg):
+    """Approximately solve H step = -grad by conjugate gradients, per problem.
+
+    H v = [v_w + X^T (d * (X v_w + v_b)); sum(d * (X v_w + v_b))]. The
+    forcing tolerance tightens as the outer gradient shrinks (inexact
+    Newton); non-positive curvature stops a problem's inner solve early,
+    with steepest descent if it is the first iteration. A stopped problem
+    takes CG steps of length zero, which leave it exactly as it was, and a
+    problem outside `active` keeps a zero step.
+    """
+    z_w = np.zeros_like(grad_w)
+    z_b = np.zeros_like(grad_b)
+    r_w = -grad_w
+    r_b = -grad_b
+    p_w = r_w
+    p_b = r_b
+    rr = _dot(r_w, r_w) + r_b * r_b
+    eta = np.minimum(0.5, np.sqrt(gnorm / np.maximum(gnorm0, 1e-30)))
+    cg_tol_sq = (eta * gnorm) ** 2
+    going = active.copy()
+    for it in range(max_cg):
+        going &= rr > cg_tol_sq
+        if not going.any():
+            break
+        t = d * (_times_xt(p_w, X) + p_b[..., None])
+        hp_w = p_w + _times_x(t, X)
+        hp_b = np.sum(t, axis=-1)
+        curvature = _dot(p_w, hp_w) + p_b * hp_b
+        flat = going & (curvature <= 1e-16 * (_dot(p_w, p_w) + p_b * p_b))
+        if it == 0:  # fall back to steepest descent
+            z_w = np.where(flat[..., None], r_w, z_w)
+            z_b = np.where(flat, r_b, z_b)
+        going &= ~flat
+        alpha = np.where(going, rr, 0.0) / np.where(going, curvature, 1.0)
+        z_w = z_w + alpha[..., None] * p_w
+        z_b = z_b + alpha * p_b
+        r_w = r_w - alpha[..., None] * hp_w
+        r_b = r_b - alpha * hp_b
+        rr_new = _dot(r_w, r_w) + r_b * r_b
+        beta = rr_new / np.where(going, rr, 1.0)
+        p_w = np.where(going[..., None], r_w + beta[..., None] * p_w, p_w)
+        p_b = np.where(going, r_b + beta * p_b, p_b)
+        rr = np.where(going, rr_new, rr)
+    return z_w, z_b
+
+
+def _row_space(X: np.ndarray):
+    """(Q, X Q) with Q an orthonormal basis of the rows of X when X has fewer
+    rows than columns (thin QR X^T = QR, so X Q = R^T); (None, X) otherwise."""
+    if X.shape[0] >= X.shape[1]:
+        return None, X
+    q, r = np.linalg.qr(X.T)
+    return q, np.ascontiguousarray(r.T)
+
+
+def _check_training_inputs(X: np.ndarray, labels: np.ndarray, c: float):
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"bad shapes X{X.shape} y{y.shape}")
+    labels = np.asarray(labels)
+    if X.ndim != 2 or labels.ndim != 1 or X.shape[0] != labels.shape[0]:
+        raise ValueError(f"bad shapes X{X.shape} labels{labels.shape}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite values")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    if y.min() == y.max():
-        raise ValueError("both classes must be present")
+    if labels.min() == labels.max():
+        raise ValueError("need at least 2 classes")
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"cost parameter must be positive, got {c}")
-    return X, y
+    return X, labels
 
 
 def train_binary(
@@ -89,101 +242,24 @@ def train_binary(
     init: tuple[np.ndarray, float] | None = None,
     history: list | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Fit one binary model; returns (w, b).
+    """Fit one binary model (labels -1 or +1); returns (w, b).
 
-    `init` warm-starts the solver (used by the grid search along the C
-    path). If `history` is a list, the objective value after each accepted
-    iteration is appended to it.
+    `init` warm-starts the solver. If `history` is a list, the objective
+    value after each accepted iteration is appended to it.
     """
     X, y = _check_training_inputs(X, y, c)
-    n, dim = X.shape
-    if init is None:
-        w = np.zeros(dim)
-        b = 0.0
-    else:
-        w = np.array(init[0], dtype=np.float64, copy=True)
-        b = float(init[1])
-        if w.shape != (dim,):
-            raise ValueError(f"warm start has dim {w.shape}, expected ({dim},)")
-
-    grad_w, grad_b, margins = gradient(w, b, X, y, c)
-    gnorm0 = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
-    threshold = tol * max(1.0, gnorm0)
-    fval = objective(w, b, X, y, c)
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    w, b = np.zeros(X.shape[1]), 0.0
+    if init is not None:
+        w, b = np.asarray(init[0], dtype=np.float64), float(init[1])
+        if w.shape != (X.shape[1],):
+            raise ValueError(f"warm start has dim {w.shape}, expected ({X.shape[1]},)")
+    values = None if history is None else []
+    w, b = train_stack(X, y.astype(np.float64), float(c), w, b, tol=tol, history=values)
     if history is not None:
-        history.append(fval)
-
-    for _ in range(MAX_ITER):
-        gnorm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
-        if gnorm <= threshold:
-            break
-        d = c * _sigmoid(margins) * _sigmoid(-margins)  # Hessian data weights
-
-        step_w, step_b = _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0)
-        descent = float(grad_w @ step_w + grad_b * step_b)
-        if descent >= 0:  # CG failed to produce a descent direction
-            step_w, step_b = -grad_w, -grad_b
-            descent = -gnorm * gnorm
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            trial_w = w + alpha * step_w
-            trial_b = b + alpha * step_b
-            trial_f = objective(trial_w, trial_b, X, y, c)
-            if trial_f <= fval + 1e-4 * alpha * descent:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break  # step underflow; gradient is already tiny in practice
-        w, b, fval = trial_w, trial_b, trial_f
-        if history is not None:
-            history.append(fval)
-        grad_w, grad_b, margins = gradient(w, b, X, y, c)
-    return w, b
-
-
-def _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0):
-    """Approximately solve H step = -grad by conjugate gradients.
-
-    H v = [v_w + X^T (d * (X v_w + v_b)); sum(d * (X v_w + v_b))]. The
-    forcing tolerance tightens as the outer gradient shrinks (inexact
-    Newton); non-positive curvature stops the inner solve early.
-    """
-    dim = X.shape[1]
-    z_w = np.zeros(dim)
-    z_b = 0.0
-    r_w = -grad_w.copy()
-    r_b = -grad_b
-    p_w = r_w.copy()
-    p_b = r_b
-    rr = float(r_w @ r_w + r_b * r_b)
-    eta = min(0.5, np.sqrt(gnorm / max(gnorm0, 1e-30)))
-    cg_tol_sq = (eta * gnorm) ** 2
-    for it in range(min(dim + 1, 250)):
-        if rr <= cg_tol_sq:
-            break
-        Xp = X @ p_w + p_b
-        t = d * Xp
-        hp_w = p_w + X.T @ t
-        hp_b = float(np.sum(t))
-        curvature = float(p_w @ hp_w + p_b * hp_b)
-        if curvature <= 1e-16 * (p_w @ p_w + p_b * p_b):
-            if it == 0:
-                return r_w, r_b  # fall back to steepest descent
-            break
-        alpha = rr / curvature
-        z_w += alpha * p_w
-        z_b += alpha * p_b
-        r_w -= alpha * hp_w
-        r_b -= alpha * hp_b
-        rr_new = float(r_w @ r_w + r_b * r_b)
-        beta = rr_new / rr
-        p_w = r_w + beta * p_w
-        p_b = r_b + beta * p_b
-        rr = rr_new
-    return z_w, z_b
+        history.extend(float(v) for v in values)
+    return w, float(b)
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +295,24 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
 
 
-def train_ovr(X: np.ndarray, labels: np.ndarray, c: float,
-              init: LinearModel | None = None) -> LinearModel:
-    """Train one binary model per class (that class vs. the rest); `init`, a
-    model over the same classes, warm-starts each class's solver."""
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels)
+def _one_vs_rest(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
+    """(K, N) labels: +1 for the class of each row, -1 for the rest."""
+    return np.where(labels == class_ids[:, None], 1.0, -1.0)
+
+
+def train_ovr(X: np.ndarray, labels: np.ndarray, c: float) -> LinearModel:
+    """Train one binary model per class (that class vs. the rest), all K in
+    one stacked solve, in the row space of X when it has fewer rows than dims."""
     if float(c) != int(c):
         raise ValueError(f"one-vs-rest training uses integer costs, got {c}")
-    class_ids = tuple(sorted(int(v) for v in np.unique(labels)))
-    if len(class_ids) < 2:
-        raise ValueError("need at least 2 classes")
-    if init is not None and init.class_ids != class_ids:
-        raise ValueError(f"warm start has classes {init.class_ids}, expected {class_ids}")
-    weights = np.empty((len(class_ids), X.shape[1]))
-    biases = np.empty(len(class_ids))
-    for k, cls in enumerate(class_ids):
-        y = np.where(labels == cls, 1.0, -1.0)
-        start = None if init is None else (init.weights[k], init.biases[k])
-        weights[k], biases[k] = train_binary(X, y, float(c), init=start)
-    return LinearModel(class_ids=class_ids, weights=weights, biases=biases,
+    X, labels = _check_training_inputs(X, labels, c)
+    class_ids = np.unique(labels)
+    basis, A = _row_space(X)
+    z, b = train_stack(A, _one_vs_rest(labels, class_ids), float(c),
+                       np.zeros((class_ids.size, A.shape[1])), np.zeros(class_ids.size),
+                       max_cg=min(X.shape[1] + 1, 250))
+    return LinearModel(class_ids=tuple(int(v) for v in class_ids),
+                       weights=z if basis is None else z @ basis.T, biases=b,
                        best_c=int(c))
 
 
@@ -316,26 +390,35 @@ def grid_search_c(
 
     Every candidate cost is evaluated on the same folds; the winner is the
     cost with the highest mean validation accuracy, smallest cost on ties.
-    Solvers are warm-started along the ascending cost path, which changes
-    nothing about the optimum but speeds convergence considerably.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels)
-    c_values = tuple(int(c) for c in c_values)
-    if any(c <= 0 for c in c_values):
-        raise ValueError("cost values must be positive")
-    assignment = stratified_folds(labels, folds, seed)
-    splits = [(X[assignment != f], labels[assignment != f],
-               X[assignment == f], labels[assignment == f]) for f in range(folds)]
+    Each cost is one `train_stack` call over every (fold, class) problem,
+    warm-started from the previous cost's solutions, which changes nothing
+    about the optimum but speeds convergence considerably.
 
-    models = [None] * folds
+    Every fold's problems share all the rows, with cost zero on the fold's
+    own rows, so they train on the other folds alone. With fewer rows than
+    dims the rows are taken in one orthonormal basis of their span, which
+    holds every fold's row space.
+    """
+    c_values = tuple(int(c) for c in c_values)
+    X, labels = _check_training_inputs(X, labels, min(c_values))
+    assignment = stratified_folds(labels, folds, seed)
+    class_ids = np.unique(labels)
+    _, A = _row_space(X)
+    y = _one_vs_rest(labels, class_ids)
+    trains = (assignment != np.arange(folds)[:, None])[:, None, :]  # (F, 1, N)
+    held_out = np.bincount(assignment, minlength=folds).tolist()
+    truth = np.searchsorted(class_ids, labels)
+
+    w = np.zeros((folds, class_ids.size, A.shape[1]))
+    b = np.zeros((folds, class_ids.size))
     accuracies = []
     for c in c_values:
-        fold_accs = []
-        for f, (X_tr, y_tr, X_val, y_val) in enumerate(splits):
-            models[f] = train_ovr(X_tr, y_tr, c, init=models[f])
-            fold_accs.append(evaluate(models[f], X_val, y_val))
-        accuracies.append(sum(fold_accs) / folds)
+        w, b = train_stack(A, y, float(c) * trains, w, b, max_cg=min(X.shape[1] + 1, 250))
+        # each row is scored by the models of the fold that holds it out
+        scores = np.swapaxes(_times_xt(w, A), -1, -2) + b[:, None, :]  # (F, N, K)
+        hits = np.argmax(scores[assignment, np.arange(labels.size)], axis=-1) == truth
+        correct = np.bincount(assignment[hits], minlength=folds).tolist()
+        accuracies.append(sum(k / n for k, n in zip(correct, held_out)) / folds)
 
     best = int(np.argmax(accuracies))  # first max = smallest C on ties
     return GridSearchReport(

@@ -263,7 +263,7 @@ def cmd_slice(args) -> int:
 
 def cmd_extract(args) -> int:
     from .cache import FeatureRecord, save_cache
-    from .datasets import scan_dataset
+    from .datasets import DatasetError, scan_dataset
     from .experiment import FeatureConfig, config_matrix
     from .imageio import read_raster
     from .pipeline import extract_base_features
@@ -291,19 +291,20 @@ def cmd_extract(args) -> int:
             records.append(FeatureRecord(label=int(label), path=path, values=values))
         except _DATA_ERRORS as exc:  # a bad file: reported, summarized at the end
             failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            detail = str(exc)  # the reader's errors name the file already
+            print(f"error: {detail if path in detail else f'{path}: {detail}'}",
+                  file=sys.stderr)
+    if failures:
+        print(f"{failures} files failed", file=sys.stderr)
     if not records:
-        raise CliConfigError("no image produced features; nothing to write")
+        raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
 
     suffix = f"{feature_type}-{args.pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
     save_cache(cache_path, config.dim, records)
     print(f"wrote {len(records)} records (dim {config.dim}) to {cache_path}")
-    if failures:
-        print(f"{failures} files failed", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+    return EXIT_DATA if failures else EXIT_OK
 
 
 def cmd_train(args) -> int:

@@ -16,7 +16,7 @@ class NetpbmError(ValueError):
     """Raised for malformed or unsupported Netpbm files."""
 
 
-def _read_tokens(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
+def _read_tokens(path: str, data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
     """Read `count` whitespace-separated header tokens, skipping # comments."""
     tokens: list[bytes] = []
     n = len(data)
@@ -24,7 +24,7 @@ def _read_tokens(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
         while pos < n and data[pos : pos + 1].isspace():
             pos += 1
         if pos >= n:
-            raise NetpbmError("truncated header")
+            raise NetpbmError(f"{path}: truncated header")
         if data[pos : pos + 1] == b"#":
             while pos < n and data[pos] not in (0x0A, 0x0D):
                 pos += 1
@@ -35,7 +35,7 @@ def _read_tokens(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
         tokens.append(data[start:pos])
     # exactly one whitespace byte separates the header from the raster
     if pos >= n:
-        raise NetpbmError("truncated file: no raster data")
+        raise NetpbmError(f"{path}: truncated file: no raster data")
     pos += 1
     return tokens, pos
 
@@ -45,7 +45,7 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
         data = fh.read()
     if data[:2] != magic:
         raise NetpbmError(f"{path}: expected {magic.decode()} magic, got {data[:2]!r}")
-    tokens, pos = _read_tokens(data, 3, 2)
+    tokens, pos = _read_tokens(path, data, 3, 2)
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:

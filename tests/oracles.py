@@ -2,14 +2,17 @@
 
 Everything here is deliberately written the dumbest possible way (plain
 loops, closed forms, derivative-free search) and shares no code with the
-library paths it checks. The one exception is `grid_search_nested`, which
-checks how the grid search arranges its solves and scores, and so calls
-the binary solver and the fold assignment, which are checked on their own.
+library paths it checks. The exceptions are `train_binary`, the damped
+Newton-CG-Armijo iteration of `scenefuse.classifier` written for one
+problem at a time, which the stacked solver must follow problem by
+problem, and `grid_search_nested`, which checks how the grid search
+arranges its solves and scores, and so uses the fold assignment, which is
+checked on its own.
 """
 
 import numpy as np
 
-from scenefuse.classifier import GridSearchReport, stratified_folds, train_binary
+from scenefuse.classifier import DEFAULT_TOL, MAX_ITER, GridSearchReport, stratified_folds
 
 
 def conv2d_loops(x, kernel, bias):
@@ -199,6 +202,100 @@ def logreg_brute_force(X, y, c, dim, restarts=60, seed=0):
                        options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun))
     return best
+
+
+def _sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+def _objective(w, b, X, y, c):
+    margins = y * (X @ w + b)
+    return float(0.5 * (w @ w) + c * np.sum(np.logaddexp(0.0, -margins)))
+
+
+def _gradient(w, b, X, y, c):
+    margins = y * (X @ w + b)
+    coef = c * (y * _sigmoid(-margins))
+    return w - X.T @ coef, float(-np.sum(coef)), margins
+
+
+def train_binary(X, y, c, init=None):
+    """One binary problem by damped Newton-CG-Armijo, one scalar at a time.
+
+    Labels are -1 or +1 and `init` is a warm start (w, b). Returns (w, b).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    dim = X.shape[1]
+    if init is None:
+        w, b = np.zeros(dim), 0.0
+    else:
+        w, b = np.array(init[0], dtype=np.float64), float(init[1])
+
+    grad_w, grad_b, margins = _gradient(w, b, X, y, c)
+    gnorm0 = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+    threshold = DEFAULT_TOL * max(1.0, gnorm0)
+    fval = _objective(w, b, X, y, c)
+    for _ in range(MAX_ITER):
+        gnorm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+        if gnorm <= threshold:
+            break
+        d = c * _sigmoid(margins) * _sigmoid(-margins)
+        step_w, step_b = _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0)
+        descent = float(grad_w @ step_w + grad_b * step_b)
+        if descent >= 0:
+            step_w, step_b = -grad_w, -grad_b
+            descent = -gnorm * gnorm
+        alpha = 1.0
+        accepted = False
+        for _ in range(60):
+            trial_w = w + alpha * step_w
+            trial_b = b + alpha * step_b
+            trial_f = _objective(trial_w, trial_b, X, y, c)
+            if trial_f <= fval + 1e-4 * alpha * descent:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        w, b, fval = trial_w, trial_b, trial_f
+        grad_w, grad_b, margins = _gradient(w, b, X, y, c)
+    return w, b
+
+
+def _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0):
+    dim = X.shape[1]
+    z_w = np.zeros(dim)
+    z_b = 0.0
+    r_w = -grad_w.copy()
+    r_b = -grad_b
+    p_w = r_w.copy()
+    p_b = r_b
+    rr = float(r_w @ r_w + r_b * r_b)
+    eta = min(0.5, np.sqrt(gnorm / max(gnorm0, 1e-30)))
+    cg_tol_sq = (eta * gnorm) ** 2
+    for it in range(min(dim + 1, 250)):
+        if rr <= cg_tol_sq:
+            break
+        t = d * (X @ p_w + p_b)
+        hp_w = p_w + X.T @ t
+        hp_b = float(np.sum(t))
+        curvature = float(p_w @ hp_w + p_b * hp_b)
+        if curvature <= 1e-16 * (p_w @ p_w + p_b * p_b):
+            if it == 0:
+                return r_w, r_b
+            break
+        alpha = rr / curvature
+        z_w += alpha * p_w
+        z_b += alpha * p_b
+        r_w -= alpha * hp_w
+        r_b -= alpha * hp_b
+        rr_new = float(r_w @ r_w + r_b * r_b)
+        beta = rr_new / rr
+        p_w = r_w + beta * p_w
+        p_b = r_b + beta * p_b
+        rr = rr_new
+    return z_w, z_b
 
 
 def grid_search_nested(X, labels, folds, seed, c_values):

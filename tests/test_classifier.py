@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenefuse import classifier
 from scenefuse.classifier import (
     C_GRID, LinearModel, ModelBadMagicError, ModelFileError, ModelTruncatedError,
     decision_values, evaluate, gradient, grid_search_c, load_model, objective,
-    predict, save_model, stratified_folds, train_binary, train_ovr,
+    predict, save_model, stratified_folds, train_binary, train_ovr, train_stack,
 )
 
 import oracles
@@ -25,6 +26,26 @@ def blobs(rng, k=3, per_class=30, dim=8, spread=6.0, noise=0.4):
     X = np.concatenate([c + rng.normal(0, noise, (per_class, dim)) for c in centers])
     y = np.repeat(np.arange(k), per_class)
     return X, y
+
+
+def descriptors(rng, k=3, per_class=7, dim=64, noise=1.5):
+    """Overlapping classes of non-negative unit-norm rows, like fused descriptors."""
+    centres = np.abs(rng.standard_normal((k, dim)))
+    y = np.repeat(np.arange(k), per_class)
+    X = np.maximum(centres[y] + noise * rng.standard_normal((y.size, dim)), 0) + 1e-3
+    return X / np.linalg.norm(X, axis=1, keepdims=True), y
+
+
+def relative_gap(w, b, w_ref, b_ref):
+    """Distance between two (w, b), relative to the reference, or absolute below norm 1."""
+    ref = np.append(w_ref, b_ref)
+    return np.linalg.norm(np.append(w, b) - ref) / max(np.linalg.norm(ref), 1.0)
+
+
+def row_basis(X):
+    """Q of the thin QR of X^T where X has fewer rows than columns, else None
+    (the basis the classifier solves in)."""
+    return np.linalg.qr(X.T)[0] if X.shape[0] < X.shape[1] else None
 
 
 class TestBinarySolver:
@@ -160,25 +181,61 @@ class TestOneVsRest:
         wrong = 1 - y
         assert evaluate(model, X, wrong) == 0.0
 
-    def test_warm_start_matches_per_class_solves(self, rng):
-        X, y = blobs(rng, k=3, noise=3.0, spread=2.0)
-        start = train_ovr(X, y, 2)
-        model = train_ovr(X, y, 5, init=start)
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_matches_per_class_oracle_solves(self, dim, rng):
+        # 45 rows: the full space at dim 8, the row space (w = Qz) at dim 64
+        X, y = descriptors(rng, per_class=15, dim=dim)
+        model = train_ovr(X, y, 5)
         for k, cls in enumerate(model.class_ids):
-            w, b = train_binary(X, np.where(y == cls, 1.0, -1.0), 5.0,
-                                init=(start.weights[k], start.biases[k]))
-            assert np.array_equal(model.weights[k], w)
-            assert model.biases[k] == b
+            w, b = oracles.train_binary(X, np.where(y == cls, 1.0, -1.0), 5.0)
+            assert relative_gap(model.weights[k], model.biases[k], w, b) <= 1e-8
         assert model.best_c == 5
 
-    def test_warm_start_must_match_classes_and_dim(self, rng):
-        X, y = blobs(rng, k=3, dim=6)
-        with pytest.raises(ValueError, match="classes"):
-            train_ovr(X, y, 3, init=train_ovr(X, np.where(y == 2, 9, y), 2))
-        with pytest.raises(ValueError, match="classes"):
-            train_ovr(X[y > 0], y[y > 0], 3, init=train_ovr(X, y, 2))
-        with pytest.raises(ValueError, match="dim"):
-            train_ovr(X, y, 3, init=train_ovr(X[:, :4], y, 2))
+
+class TestStackedSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(groups=st.integers(1, 3), classes=st.integers(1, 3), rows=st.integers(2, 24),
+           dims=st.integers(1, 24), cost=st.integers(1, 10), warm=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(groups=2, classes=3, rows=7, dims=20, cost=10, warm=False, seed=0)
+    @example(groups=3, classes=2, rows=20, dims=7, cost=3, warm=True, seed=1)
+    def test_each_problem_follows_the_scalar_oracle(self, groups, classes, rows, dims,
+                                                     cost, warm, seed):
+        """Groups of problems train on random row subsets (cost zero on the rest).
+
+        Unit-norm rows and C <= 10 keep the problems well conditioned. At C
+        near 100 a 1-ulp change of the rows moves the scalar oracle's own
+        result by up to ~2e-4, so no two orders of arithmetic can agree to
+        1e-8 there.
+        """
+        r = np.random.default_rng(seed)
+        labels = r.integers(0, 3, rows)
+        centres = np.abs(r.standard_normal((3, dims)))
+        X = np.maximum(centres[labels] + r.uniform(0.2, 3) * r.standard_normal((rows, dims)),
+                       0) + 1e-3
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = np.where(labels == r.integers(0, 3, (classes, 1)), 1.0, -1.0)
+        y[:, :2] = [1.0, -1.0]  # rows 0 and 1, always kept, give both labels
+        keep = r.random((groups, 1, rows)) < 0.7
+        keep[..., :2] = True
+        w0 = r.normal(0, 1, (groups, classes, dims)) if warm else np.zeros((groups, classes, dims))
+        b0 = r.normal(0, 1, (groups, classes)) if warm else np.zeros((groups, classes))
+        w, b = train_stack(X, y, cost * keep.astype(float), w0, b0)
+        for g in range(groups):
+            rows_g = keep[g, 0]
+            for k in range(classes):
+                w_ref, b_ref = oracles.train_binary(X[rows_g], y[k, rows_g], float(cost),
+                                                    init=(w0[g, k], b0[g, k]))
+                assert relative_gap(w[g, k], b[g, k], w_ref, b_ref) <= 1e-8
+
+    def test_converged_problem_comes_back_unchanged(self, rng):
+        X, y = blobs(rng, k=2, per_class=10, dim=5, noise=2.0)
+        y = np.where(y == 0, 1.0, -1.0)
+        w, b = train_binary(X, y, 3.0, tol=1e-10)
+        # problem 0 starts at its optimum and is frozen at once; problem 1 starts cold
+        ws, bs = train_stack(X, y, 3.0, np.stack([w, np.zeros(5)]), np.array([b, 0.0]))
+        assert np.array_equal(ws[0], w) and bs[0] == b
+        assert relative_gap(ws[1], bs[1], *oracles.train_binary(X, y, 3.0)) <= 1e-8
 
 
 class TestGridSearch:
@@ -205,35 +262,66 @@ class TestGridSearch:
         b = grid_search_c(X, y, folds=4, seed=9, c_values=range(1, 8))
         assert a == b
 
-    @pytest.mark.parametrize("case", ["overlapping", "sparse_ids", "separable"])
+    @pytest.mark.parametrize("case", ["overlapping", "sparse_ids", "separable",
+                                      "few_rows", "few_unnormalised_rows"])
     def test_matches_nested_loop_oracle(self, case, rng, monkeypatch):
+        # few_*: 3 classes x 7 rows at 64 dims, solved in the 21-dim row space;
+        # the folds hold out 3 or 6 rows, so they train on 15 to 18
         if case == "separable":
             X, y = blobs(rng, k=2, per_class=12, noise=0.1)
             folds, seed = 3, 0
+        elif case == "few_rows":
+            X, y = descriptors(rng, noise=5.0)
+            folds, seed = 5, 1
+        elif case == "few_unnormalised_rows":
+            X, y = blobs(rng, k=3, per_class=7, dim=64, noise=8.0, spread=2.0)
+            folds, seed = 5, 3
         else:
             X, y = blobs(rng, k=3, per_class=10, noise=5.0, spread=2.0)
             folds, seed = 5, 3
             if case == "sparse_ids":
                 y = np.array([2, 5, 7])[y]
 
-        def recording(log):
-            def solve(X, y, c, init=None):
-                start = None if init is None else (init[0].tobytes(), float(init[1]))
-                log.append((X.tobytes(), y.tobytes(), c, start))
-                return train_binary(X, y, c, init=init)
-            return solve
-
         solves, oracle_solves = [], []
-        monkeypatch.setattr(classifier, "train_binary", recording(solves))
-        monkeypatch.setattr(oracles, "train_binary", recording(oracle_solves))
-        report = grid_search_c(X, y, folds=folds, seed=seed)
-        assert report == grid_search_nested(X, y, folds, seed, C_GRID)
-        # the same solves, warm starts included, in the same order
-        assert solves == oracle_solves
+
+        def stacked(A, y, c, w, b, **kwargs):
+            result = train_stack(A, y, c, w, b, **kwargs)
+            solves.append((float(np.max(c)), w.copy(), b.copy(), result))
+            return result
+
+        def per_class(X, y, c, init=None, scalar=oracles.train_binary):
+            result = scalar(X, y, c, init=init)
+            oracle_solves.append(result)
+            return result
+
+        monkeypatch.setattr(classifier, "train_stack", stacked)
+        monkeypatch.setattr(oracles, "train_binary", per_class)
+        report = grid_search_nested(X, y, folds, seed, C_GRID)
+        assert grid_search_c(X, y, folds=folds, seed=seed) == report
         if case == "separable":
             assert len(set(report.accuracies)) == 1 and report.chosen_c == 1
         else:
             assert len(set(report.accuracies)) > 1
+
+        # one stacked solve per cost, ascending, each from the previous result
+        assert [c for c, *_ in solves] == list(C_GRID)
+        assert not solves[0][1].any() and not solves[0][2].any()
+        for (*_, (w, b)), (_, w0, b0, _) in zip(solves, solves[1:]):
+            assert np.array_equal(w0, w) and np.array_equal(b0, b)
+        if case == "few_unnormalised_rows":
+            # rows of norm ~64 make the larger costs ill-conditioned: a 1-ulp
+            # change of X moves the scalar oracle's own path by 1.3e-3, and
+            # the two paths drift 2.4e-3 apart, so only the report can agree
+            return
+        # and every (fold, class) result is the oracle's warm-started solve
+        basis = row_basis(X)
+        oracle_iter = iter(oracle_solves)
+        for *_, (w, b) in solves:
+            for f in range(folds):
+                for k in range(len(np.unique(y))):
+                    w_ref, b_ref = next(oracle_iter)
+                    w_fk = w[f, k] if basis is None else basis @ w[f, k]
+                    assert relative_gap(w_fk, b[f, k], w_ref, b_ref) <= 1e-8
 
     def test_small_class_rejected(self, rng):
         X, y = blobs(rng, k=2, per_class=3)

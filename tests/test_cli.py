@@ -278,7 +278,8 @@ class TestValidateWeights:
     def test_corrupted_magic_is_data_error(self, weight_files, tmp_path):
         obj_w, _ = weight_files
         bad = tmp_path / "bad.hdfw"
-        data = bytearray(open(obj_w, "rb").read())
+        with open(obj_w, "rb") as fh:
+            data = bytearray(fh.read())
         data[:4] = b"ZZZZ"
         bad.write_bytes(bytes(data))
         assert cli.main(["validate-weights", str(bad), "--trunk", "any"]) == cli.EXIT_DATA
@@ -408,6 +409,28 @@ class TestExtractFailures:
         # successful records are still flushed
         dim, records = load_cache(str(next(out.glob("*.hdfc"))))
         assert len(records) == 17
+
+    def test_all_files_bad_is_data_error(self, weight_files, tmp_path, capsys):
+        obj_w, scn_w = weight_files
+        root = tmp_path / "bad"
+        victims = []
+        for cls, body in (("a", b"P6\n4 4\n255\nshort"), ("b", b"P6\n4 4")):
+            (root / cls).mkdir(parents=True)
+            for i in range(2):
+                victims.append(root / cls / f"i{i}.ppm")
+                victims[-1].write_bytes(body)  # truncated raster, truncated header
+        out = tmp_path / "features"
+        rc = cli.main(["extract", "--dataset", str(root), "--object-weights", obj_w,
+                       "--scene-weights", scn_w, "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(lines) == 4
+        for victim, line in zip(victims, lines):
+            assert line.count(str(victim)) == 1, line
+        assert "4 files failed" in err
+        assert "data error:" in err and "no image produced features" in err
+        assert not out.exists()
 
     def test_program_error_exits_internal_at_the_first_file(
             self, tiny_dataset, weight_files, tmp_path, capsys, monkeypatch):
