@@ -1,4 +1,4 @@
-"""Feature cache files (magic ``HDFC``).
+"""Feature cache files (magic ``HDFC``), read straight from the open file.
 
 Little-endian layout::
 
@@ -15,10 +15,13 @@ Little-endian layout::
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .binfile import BoundedReader
 
 MAGIC = b"HDFC"
 FORMAT_VERSION = 1
@@ -52,6 +55,8 @@ class FeatureRecord:
 
 
 def save_cache(path: str, dim: int, records) -> None:
+    """Write a feature cache under a temporary name, then rename it over
+    `path`: an interrupted write leaves the previous file, or none."""
     records = list(records)
     parts = [MAGIC, struct.pack("<III", FORMAT_VERSION, dim, len(records))]
     for rec in records:
@@ -64,46 +69,41 @@ def save_cache(path: str, dim: int, records) -> None:
         parts.append(struct.pack("<II", int(rec.label), len(encoded)))
         parts.append(encoded)
         parts.append(values.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_cache(path: str, expect_dim: int | None = None) -> tuple[int, list[FeatureRecord]]:
-    """Read a feature cache; returns (dim, records).
+    """Read a feature cache straight from the file; returns (dim, records).
 
     Passing `expect_dim` turns a dimension mismatch into
     :class:`CacheDimensionError` at load time.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CacheTruncatedError(
-                f"{path}: truncated cache while reading {what} at offset {pos}"
-            )
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
-        raise CacheBadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, dim, count = struct.unpack("<III", take(12, "header"))
-    if version != FORMAT_VERSION:
-        raise CacheVersionError(f"{path}: unsupported cache version {version}")
-    if expect_dim is not None and dim != expect_dim:
-        raise CacheDimensionError(f"{path}: cache dim {dim}, expected {expect_dim}")
-    records = []
-    for i in range(count):
-        label, path_len = struct.unpack("<II", take(8, f"record {i} header"))
-        try:
-            rec_path = take(path_len, f"record {i} path").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CacheFileError(f"{path}: record {i} path is not UTF-8") from None
-        values = np.frombuffer(take(4 * dim, f"record {i} values"), dtype="<f4").copy()
-        records.append(FeatureRecord(label=int(label), path=rec_path, values=values))
-    if pos != len(data):
-        raise CacheFileError(f"{path}: {len(data) - pos} trailing bytes after last record")
+        rd = BoundedReader(fh, path, CacheTruncatedError, "cache")
+        magic = rd.take(4, "magic")
+        if magic != MAGIC:
+            raise CacheBadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        version, dim, count = rd.unpack("<III", "header")
+        if version != FORMAT_VERSION:
+            raise CacheVersionError(f"{path}: unsupported cache version {version}")
+        if expect_dim is not None and dim != expect_dim:
+            raise CacheDimensionError(f"{path}: cache dim {dim}, expected {expect_dim}")
+        records = []
+        for i in range(count):
+            label, path_len = rd.unpack("<II", f"record {i} header")
+            try:
+                rec_path = rd.take(path_len, f"record {i} path").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CacheFileError(f"{path}: record {i} path is not UTF-8") from None
+            values = rd.f32s(dim, f"record {i} values")
+            records.append(FeatureRecord(label=label, path=rec_path, values=values))
+        if rd.left:
+            raise CacheFileError(f"{path}: {rd.left} trailing bytes after last record")
     return dim, records

@@ -61,7 +61,7 @@ class DatasetManifest:
         return paths, np.asarray(labels, dtype=np.intp)
 
 
-def scan_dataset(root: str, name: str | None = None) -> DatasetManifest:
+def scan_dataset(root: str) -> DatasetManifest:
     """Build a manifest from a directory-per-class tree.
 
     Non-image files are skipped (logged with a count); an empty class
@@ -92,7 +92,7 @@ def scan_dataset(root: str, name: str | None = None) -> DatasetManifest:
         raise DatasetError(f"need at least 2 class directories, found {len(classes)}")
     if skipped:
         logger.warning("skipped %d non-image files under %s", skipped, root)
-    return DatasetManifest(name=name or os.path.basename(os.path.abspath(root)),
+    return DatasetManifest(name=os.path.basename(os.path.abspath(root)),
                            classes=tuple(classes))
 
 

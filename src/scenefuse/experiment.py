@@ -118,11 +118,11 @@ def pair_digest(object_backend: Backend, scene_backend: Backend) -> str:
     h = hashlib.sha256()
     for backend in (object_backend, scene_backend):
         h.update(backend.kind.encode())
-        h.update(np.asarray(backend.weights.means, dtype="<f4").tobytes())
+        h.update(np.ascontiguousarray(backend.weights.means, dtype="<f4"))
         for entry in backend.weights.entries:
             h.update(entry.name.encode())
-            h.update(np.ascontiguousarray(entry.kernel, dtype="<f4").tobytes())
-            h.update(np.ascontiguousarray(entry.bias, dtype="<f4").tobytes())
+            h.update(np.ascontiguousarray(entry.kernel, dtype="<f4"))
+            h.update(np.ascontiguousarray(entry.bias, dtype="<f4"))
     return h.hexdigest()[:16]
 
 
@@ -160,8 +160,8 @@ def compute_base_features(
     matching caches are reused and fresh results are written back.
     """
     paths, labels = manifest.flat_paths_labels()
-    digest = pair_digest(object_backend, scene_backend)
     if cache_dir:
+        digest = pair_digest(object_backend, scene_backend)
         cached = _try_load_base(cache_dir, manifest.name, digest, paths, labels)
         if cached is not None:
             return cached, labels, paths

@@ -7,6 +7,8 @@ must be converted before ingestion.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 IMAGE_EXTENSIONS = (".ppm", ".pgm")
@@ -40,9 +42,7 @@ def _read_tokens(path: str, data: bytes, count: int, pos: int) -> tuple[list[byt
     return tokens, pos
 
 
-def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_netpbm(path: str, data: bytes, magic: bytes, channels: int) -> np.ndarray:
     if data[:2] != magic:
         raise NetpbmError(f"{path}: expected {magic.decode()} magic, got {data[:2]!r}")
     tokens, pos = _read_tokens(path, data, 3, 2)
@@ -66,12 +66,12 @@ def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary PGM (P5) file into a (H, W) uint8 array."""
-    return _read_netpbm(path, b"P5", 1)
+    return _parse_netpbm(path, Path(path).read_bytes(), b"P5", 1)
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM (P6) file into a (H, W, 3) uint8 array."""
-    return _read_netpbm(path, b"P6", 3)
+    return _parse_netpbm(path, Path(path).read_bytes(), b"P6", 3)
 
 
 def read_raster(path: str) -> np.ndarray:
@@ -79,12 +79,12 @@ def read_raster(path: str) -> np.ndarray:
 
     Graymaps are replicated across the three channels.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(2)
+    data = Path(path).read_bytes()
+    head = data[:2]
     if head == b"P6":
-        img = read_ppm(path)
+        img = _parse_netpbm(path, data, head, 3)
     elif head == b"P5":
-        img = np.repeat(read_pgm(path)[:, :, None], 3, axis=2)
+        img = np.repeat(_parse_netpbm(path, data, head, 1)[:, :, None], 3, axis=2)
     else:
         raise NetpbmError(f"{path}: not a binary PPM/PGM file (magic {head!r})")
     return img.astype(np.float32)

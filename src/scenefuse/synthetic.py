@@ -36,15 +36,9 @@ def stub_spec(mid_channels: int = 8, out_channels: int = 512) -> NetworkSpec:
     ))
 
 
-def stub_backend(kind: str, seed: int = 0, spec: NetworkSpec | None = None) -> Backend:
-    """A backend with deterministic random weights over the stub trunk."""
-    spec = spec or stub_spec()
-    return Backend(kind=kind, spec=spec, weights=random_bundle(spec, seed=seed))
-
-
-def stub_backend_pair(seed: int = 0, spec: NetworkSpec | None = None) -> tuple[Backend, Backend]:
-    """(object, scene) backends sharing one spec but with different weights."""
-    spec = spec or stub_spec()
+def stub_backend_pair(seed: int = 0) -> tuple[Backend, Backend]:
+    """(object, scene) backends sharing the stub spec but with different weights."""
+    spec = stub_spec()
     return (
         Backend(kind="object", spec=spec, weights=random_bundle(spec, seed=seed)),
         Backend(kind="scene", spec=spec, weights=random_bundle(spec, seed=seed + 1)),
@@ -56,6 +50,7 @@ _PALETTE = (
     (220, 40, 40), (40, 200, 60), (50, 80, 220), (230, 210, 40),
     (200, 50, 200), (40, 210, 210), (240, 140, 30), (120, 60, 180),
 )
+_NOISE = 10.0  # standard deviation of the pixel noise, in intensity units
 
 
 def make_synthetic_dataset(
@@ -63,7 +58,6 @@ def make_synthetic_dataset(
     classes: int = 3,
     per_class: int = 30,
     size: tuple[int, int] = (64, 64),
-    noise: float = 10.0,
     seed: int = 0,
 ) -> DatasetManifest:
     """Write a colour-separable PPM dataset and return its manifest.
@@ -81,7 +75,7 @@ def make_synthetic_dataset(
         os.makedirs(class_dir, exist_ok=True)
         base = np.asarray(_PALETTE[k], dtype=np.float32)
         for i in range(per_class):
-            img = base[None, None, :] + rng.normal(0.0, noise, size=(height, width, 3))
+            img = base[None, None, :] + rng.normal(0.0, _NOISE, size=(height, width, 3))
             write_ppm(os.path.join(class_dir, f"img_{i:03d}.ppm"),
                       np.clip(img, 0, 255))
     return scan_dataset(root)

@@ -4,7 +4,8 @@ A bundle holds the per-conv-layer parameters of one pretrained trunk plus
 the per-channel input means used for preprocessing. Files use a small
 custom binary layout (magic ``HDFW``) so the engine has zero external
 model-format dependencies; converting real pretrained checkpoints into
-this format is external tooling.
+this format is external tooling. :func:`load_weights` reads straight
+from the open file, each array into its final buffer.
 
 File layout, little-endian, no padding between fields::
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import BoundedReader
 from .engine import NetworkSpec
 
 MAGIC = b"HDFW"
@@ -94,32 +96,8 @@ def save_weights(bundle: WeightBundle, path: str) -> None:
         fh.write(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"{self.path}: truncated bundle while reading {what} "
-                f"(need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos})"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f32s(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").copy()
-
-
 def load_weights(path: str) -> WeightBundle:
-    """Read an HDFW file into a :class:`WeightBundle`.
+    """Read an HDFW file into a :class:`WeightBundle`, straight from the file.
 
     Raises:
         BadMagicError: wrong leading magic bytes.
@@ -127,37 +105,37 @@ def load_weights(path: str) -> WeightBundle:
         ShapeError: inconsistent declared dimensions or bad version.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    rd = _Reader(data, path)
-    if rd.take(4, "magic") != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version = rd.u32("format version")
-    if version != FORMAT_VERSION:
-        raise ShapeError(f"{path}: unsupported format version {version}")
-    means = rd.f32s(3, "channel means")
-    count = rd.u32("entry count")
-    entries = []
-    for i in range(count):
-        name_len = rd.u32(f"entry {i} name length")
-        try:
-            name = rd.take(name_len, f"entry {i} name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise WeightFileError(f"{path}: entry {i} name is not UTF-8") from None
-        dims = struct.unpack("<4I", rd.take(16, f"entry {i} kernel dims"))
-        if any(d < 1 for d in dims):
-            raise ShapeError(f"{path}: entry {i} ({name}) has zero kernel dim {dims}")
-        # Python ints: np.prod would wrap a huge declared size to a small one
-        kernel = rd.f32s(math.prod(dims), f"entry {i} kernel data").reshape(dims)
-        bias_dim = rd.u32(f"entry {i} bias dim")
-        if bias_dim != dims[0]:
-            raise ShapeError(
-                f"{path}: entry {i} ({name}) bias dim {bias_dim} != kernel out "
-                f"channels {dims[0]}"
-            )
-        bias = rd.f32s(bias_dim, f"entry {i} bias data")
-        entries.append(ConvEntry(name=name, kernel=kernel, bias=bias))
-    if rd.pos != len(data):
-        raise ShapeError(f"{path}: {len(data) - rd.pos} trailing bytes after last entry")
+        rd = BoundedReader(fh, path, TruncatedFileError, "bundle")
+        magic = rd.take(4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        (version,) = rd.unpack("<I", "format version")
+        if version != FORMAT_VERSION:
+            raise ShapeError(f"{path}: unsupported format version {version}")
+        means = rd.f32s(3, "channel means")
+        (count,) = rd.unpack("<I", "entry count")
+        entries = []
+        for i in range(count):
+            (name_len,) = rd.unpack("<I", f"entry {i} name length")
+            try:
+                name = rd.take(name_len, f"entry {i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise WeightFileError(f"{path}: entry {i} name is not UTF-8") from None
+            dims = rd.unpack("<4I", f"entry {i} kernel dims")
+            if any(d < 1 for d in dims):
+                raise ShapeError(f"{path}: entry {i} ({name}) has zero kernel dim {dims}")
+            # Python ints: np.prod would wrap a huge declared size to a small one
+            kernel = rd.f32s(math.prod(dims), f"entry {i} kernel data").reshape(dims)
+            (bias_dim,) = rd.unpack("<I", f"entry {i} bias dim")
+            if bias_dim != dims[0]:
+                raise ShapeError(
+                    f"{path}: entry {i} ({name}) bias dim {bias_dim} != kernel out "
+                    f"channels {dims[0]}"
+                )
+            bias = rd.f32s(bias_dim, f"entry {i} bias data")
+            entries.append(ConvEntry(name=name, kernel=kernel, bias=bias))
+        if rd.left:
+            raise ShapeError(f"{path}: {rd.left} trailing bytes after last entry")
     return WeightBundle(entries=tuple(entries), means=means)
 
 

@@ -1,8 +1,12 @@
+import errno
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from corruption import corruptions, load_bytes, saved_bytes
+from scenefuse import cache
 from scenefuse.cache import (
     CacheBadMagicError, CacheDimensionError, CacheFileError, CacheTruncatedError,
     CacheVersionError, FeatureRecord, load_cache, save_cache,
@@ -37,6 +41,53 @@ def test_round_trip_bit_identical(records, tmp_path):
         assert np.array_equal(a.values, b.values)
     save_cache(str(path), 16, loaded)
     assert path.read_bytes() == first
+
+
+def test_load_holds_no_copy_of_the_file(rng, tmp_path):
+    # 1 MiB of values: a buffer of the whole file or a second copy of each
+    # record would almost double the peak
+    records = [FeatureRecord(label=i % 3, path=f"c{i % 3}/img_{i}.ppm",
+                             values=rng.normal(0, 1, 4096).astype(np.float32))
+               for i in range(64)]
+    path = tmp_path / "f.hdfc"
+    save_cache(str(path), 4096, records)
+    tracemalloc.start()
+    try:
+        _, loaded = load_cache(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(r.values.nbytes for r in loaded)
+
+
+class _DiskFull:
+    """An open file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_failed_write_leaves_previous_file(records, tmp_path, monkeypatch, previous):
+    path = tmp_path / "f.hdfc"
+    if previous:
+        save_cache(str(path), 16, records)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(cache, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_cache(str(path), 16, records[:3])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_bad_magic(records, tmp_path):

@@ -1,10 +1,13 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from corruption import corruptions, load_bytes, saved_bytes
+from scenefuse.binfile import BoundedReader
 from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec, validate_bundle, vgg16_spec
 from scenefuse.weights import (
     BadMagicError, ConvEntry, ShapeError, TruncatedFileError, WeightBundle,
@@ -44,6 +47,23 @@ def test_round_trip_bit_identical(bundle, tmp_path):
     assert path.read_bytes() == first
 
 
+def test_load_holds_no_copy_of_the_file(tmp_path):
+    # three 256-channel convs, 7 MB of kernels: a buffer of the whole file or
+    # a second copy of each array would more than double the peak
+    spec = NetworkSpec((LayerSpec(CONV3X3, 256, 256),) * 3)
+    path = tmp_path / "w.hdfw"
+    save_weights(random_bundle(spec, seed=0), str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_weights(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = loaded.means.nbytes + sum(e.kernel.nbytes + e.bias.nbytes
+                                       for e in loaded.entries)
+    assert peak <= 1.1 * arrays
+
+
 def test_bad_magic(bundle, tmp_path):
     path = tmp_path / "w.hdfw"
     save_weights(bundle, str(path))
@@ -61,6 +81,20 @@ def test_truncated_file(bundle, tmp_path):
     path.write_bytes(data[: len(data) - 10])
     with pytest.raises(TruncatedFileError):
         load_weights(str(path))
+
+
+@pytest.mark.parametrize("read", [lambda rd: rd.take(8, "name"),
+                                  lambda rd: rd.f32s(2, "kernel data")],
+                         ids=["take", "f32s"])
+def test_file_cut_short_after_open_is_truncation(bundle, tmp_path, read):
+    path = tmp_path / "w.hdfw"
+    save_weights(bundle, str(path))
+    with open(path, "rb") as fh:
+        rd = BoundedReader(fh, str(path), TruncatedFileError, "bundle")
+        os.truncate(path, 30)  # the reader still counts the bytes it saw at open
+        rd.take(24, "header")
+        with pytest.raises(TruncatedFileError, match="need 8 bytes at offset 24, have 6"):
+            read(rd)
 
 
 def test_entry_count_mismatch_is_truncation(bundle, tmp_path):
