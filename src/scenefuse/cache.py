@@ -56,9 +56,10 @@ class FeatureRecord:
 
 def save_cache(path: str, dim: int, records) -> None:
     """Write a feature cache under a temporary name, then rename it over
-    `path`: an interrupted write leaves the previous file, or none."""
+    `path`: an interrupted write leaves the previous file, or none. Every
+    record is checked first, and its values are written from their buffer."""
     records = list(records)
-    parts = [MAGIC, struct.pack("<III", FORMAT_VERSION, dim, len(records))]
+    fields = [MAGIC, struct.pack("<III", FORMAT_VERSION, dim, len(records))]
     for rec in records:
         values = np.ascontiguousarray(rec.values, dtype="<f4")
         if values.shape != (dim,):
@@ -66,13 +67,12 @@ def save_cache(path: str, dim: int, records) -> None:
                 f"record {rec.path!r} has {values.shape} values, cache dim is {dim}"
             )
         encoded = rec.path.encode("utf-8")
-        parts.append(struct.pack("<II", int(rec.label), len(encoded)))
-        parts.append(encoded)
-        parts.append(values.tobytes())
+        fields += [struct.pack("<II", int(rec.label), len(encoded)) + encoded, values]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
+            for field in fields:
+                fh.write(field)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -50,7 +50,10 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     with out-of-range input treated as zero. Implemented as im2col plus a
     float32 matrix multiply per block of output rows, whose columns fill at
     most `_BLOCK_BYTES` (or one row) of a buffer reused from block to block,
-    so no whole-layer column matrix is built. Accumulation stays in float32.
+    so no whole-layer column matrix is built. Zero padding is per block too:
+    each block copies the input rows it reads into a small zero-bordered
+    band, so no padded copy of the whole input is made. Accumulation stays
+    in float32.
 
     Args:
         x: input activations, shape (C_in, H, W).
@@ -73,19 +76,23 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    padded = np.zeros((c_in, h + 2, w + 2), dtype=np.float32)
-    padded[:, 1 : h + 1, 1 : w + 1] = x
-
     flat = kernel.reshape(c_out, c_in * 9)
     rows = max(1, min(h, _BLOCK_BYTES // max(1, c_in * 9 * w * 4)))
     buf = np.empty(c_in * 9 * rows * w, dtype=np.float32)
+    # a block's input rows r0-1 .. r0+n, zero-bordered: the border columns
+    # are never written, and row 0 is still zero when the first block reads it
+    band = np.zeros((c_in, rows + 2, w + 2), dtype=np.float32)
     out = np.empty((c_out, h * w), dtype=np.float32)
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
+        lo, hi = max(r0 - 1, 0), min(r0 + n + 1, h)
+        band[:, lo - r0 + 1 : hi - r0 + 1, 1 : w + 1] = x[:, lo:hi]
+        if r0 + n == h:
+            band[:, n + 1] = 0.0  # the pad row below the last input row
         cols = buf[: c_in * 9 * n * w].reshape(c_in, 3, 3, n, w)
         for dy in range(3):
             for dx in range(3):
-                cols[:, dy, dx] = padded[:, r0 + dy : r0 + dy + n, dx : dx + w]
+                cols[:, dy, dx] = band[:, dy : dy + n, dx : dx + w]
         np.matmul(flat, cols.reshape(c_in * 9, n * w), out=out[:, r0 * w : (r0 + n) * w])
     out += bias[:, None]
     return out.reshape(c_out, h, w)

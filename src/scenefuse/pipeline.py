@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import NetworkSpec, forward_to_pool5, gap, validate_bundle
 from .resize import bilinear_resize
-from .slicing import WORKING_SIZE, slice_all
+from .slicing import WORKING_SIZE, all_masks, render_slice
 from .weights import WeightBundle
 
 FEATURE_DIM = 512
@@ -74,11 +74,14 @@ def extract_base_features(
     """The requested base descriptors of one image, each a float32 (512,) array.
 
     Only the sources named in `sources` are computed; a backend none of
-    whose sources is requested may be None. The raster is resized once,
-    and backends with equal means share one slice render. Part-level
-    sources are the mean of the 20 per-slice descriptors; slices are cut
-    from the working image with masked pixels filled with the backend
-    means, so they vanish after mean subtraction.
+    whose sources is requested may be None. The raster is resized once.
+    Part-level sources are the mean of the 20 per-slice descriptors; slices
+    are cut from the working image with masked pixels filled with the
+    backend means, so they vanish after mean subtraction. The slices are
+    streamed: each mask is rendered once per distinct fill colour (backends
+    with equal means share it) and run through every requested part-level
+    trunk before the next mask is rendered, so only the 512-float
+    descriptors are kept, never the 20 rendered slices.
     """
     backends = {"op": object_backend, "ow": object_backend,
                 "sp": scene_backend, "sw": scene_backend}
@@ -91,26 +94,30 @@ def extract_base_features(
         raise ValueError("object and scene backends must share one network spec")
 
     working = resize_to_working(raster)
-    # rendered slices depend on the working image and fill colour only, so
-    # backends with identical means can share one render pass
-    slices_by_fill: dict[tuple, list] = {}
-    features = {}
-    for source in (s for s in SOURCES if s in sources):
+
+    def descriptor(source, view):
         backend = backends[source]
-        if source in ("ow", "sw"):
-            views = [working]
-        else:
-            key = tuple(float(m) for m in backend.means)
-            if key not in slices_by_fill:
-                slices_by_fill[key] = slice_all(working, fill=backend.means)
-            views = [sub.pixels for sub in slices_by_fill[key]]
-        means = backend.means[:, None, None]
-        vectors = np.stack([gap(forward_to_pool5(backend.spec, backend.weights, v - means))
-                            for v in views])
-        # fixed view order keeps the reduction bit-deterministic; the mean
-        # of the one whole-image row is that row exactly
-        features[source] = vectors.mean(axis=0, dtype=np.float32)
-    return features
+        return gap(forward_to_pool5(backend.spec, backend.weights,
+                                    view - backend.means[:, None, None]))
+
+    vectors = {source: [] for source in sources}
+    part = [s for s in ("op", "sp") if s in sources]
+    for mask in all_masks(WORKING_SIZE):
+        # a slice depends on the working image and fill colour only: backends
+        # with equal means share one render, and it is dropped after this mask
+        renders = {}
+        for source in part:
+            fill = backends[source].means
+            key = tuple(float(m) for m in fill)
+            if key not in renders:
+                renders[key] = render_slice(working, mask, fill).pixels
+            vectors[source].append(descriptor(source, renders[key]))
+    for source in [s for s in ("ow", "sw") if s in sources]:
+        vectors[source].append(descriptor(source, working))
+    # fixed view order keeps the reduction bit-deterministic; the mean of
+    # the one whole-image row is that row exactly
+    return {source: np.stack(vectors[source]).mean(axis=0, dtype=np.float32)
+            for source in SOURCES if source in sources}
 
 
 def fuse_matrix(parts: dict[str, np.ndarray], pool_op: str) -> np.ndarray:

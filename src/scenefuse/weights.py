@@ -69,12 +69,14 @@ class WeightBundle:
 
 
 def save_weights(bundle: WeightBundle, path: str) -> None:
-    """Write a bundle in HDFW format; round-trips bit-identically."""
+    """Write a bundle in HDFW format; round-trips bit-identically. Every
+    entry is checked before the file is opened, and arrays are written
+    from their own buffers."""
     means = np.asarray(bundle.means, dtype="<f4")
     if means.shape != (3,):
         raise ShapeError(f"means must be 3 floats, got shape {means.shape}")
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), means.tobytes(),
-             struct.pack("<I", len(bundle.entries))]
+    fields = [MAGIC, struct.pack("<I", FORMAT_VERSION), means,
+              struct.pack("<I", len(bundle.entries))]
     for entry in bundle.entries:
         kernel = np.ascontiguousarray(entry.kernel, dtype="<f4")
         bias = np.ascontiguousarray(entry.bias, dtype="<f4")
@@ -86,14 +88,11 @@ def save_weights(bundle: WeightBundle, path: str) -> None:
                 f"kernel {kernel.shape}"
             )
         name = entry.name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name)))
-        parts.append(name)
-        parts.append(struct.pack("<4I", *kernel.shape))
-        parts.append(kernel.tobytes())
-        parts.append(struct.pack("<I", bias.shape[0]))
-        parts.append(bias.tobytes())
+        fields += [struct.pack("<I", len(name)) + name + struct.pack("<4I", *kernel.shape),
+                   kernel, struct.pack("<I", bias.shape[0]), bias]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        for field in fields:
+            fh.write(field)
 
 
 def load_weights(path: str) -> WeightBundle:

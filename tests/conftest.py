@@ -1,5 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def traced_peak(fn):
+    """Call `fn()` under tracemalloc; returns its result and the traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_configure(config):

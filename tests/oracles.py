@@ -2,12 +2,14 @@
 
 Everything here is deliberately written the dumbest possible way (plain
 loops, closed forms, derivative-free search) and shares no code with the
-library paths it checks. The exceptions are `train_binary`, the damped
-Newton-CG-Armijo iteration of `scenefuse.classifier` written for one
-problem at a time, which the stacked solver must follow problem by
-problem, and `grid_search_nested`, which checks how the grid search
-arranges its solves and scores, and so uses the fold assignment, which is
-checked on its own.
+library paths it checks. The exceptions are `conv2d_padded`, the
+row-blocked im2col convolution with its padding done once per layer,
+which `scenefuse.engine.conv2d`'s per-block padding must match bit for
+bit; `train_binary`, the damped Newton-CG-Armijo iteration of
+`scenefuse.classifier` written for one problem at a time, which the
+stacked solver must follow problem by problem; and `grid_search_nested`,
+which checks how the grid search arranges its solves and scores, and so
+uses the fold assignment, which is checked on its own.
 """
 
 import numpy as np
@@ -56,6 +58,32 @@ def conv2d_loops_f32(x, kernel, bias):
                                 acc += x[c, iy, ix] * kernel[o, c, dy, dx]
                 out[o, y, col] = acc
     return out
+
+
+def conv2d_padded(x, kernel, bias, block_bytes):
+    """Row-blocked im2col convolution over one zero-padded copy of the whole input.
+
+    The same columns, blocks and float32 matrix multiplies as
+    `scenefuse.engine.conv2d` at a budget of `block_bytes`, with the
+    padding done once per layer instead of once per block, so the two must
+    agree bit for bit.
+    """
+    c_in, h, w = x.shape
+    c_out = kernel.shape[0]
+    padded = np.zeros((c_in, h + 2, w + 2), dtype=np.float32)
+    padded[:, 1 : h + 1, 1 : w + 1] = x
+    flat = kernel.reshape(c_out, c_in * 9)
+    rows = max(1, min(h, block_bytes // max(1, c_in * 9 * w * 4)))
+    out = np.empty((c_out, h * w), dtype=np.float32)
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        cols = np.empty((c_in, 3, 3, n, w), dtype=np.float32)
+        for dy in range(3):
+            for dx in range(3):
+                cols[:, dy, dx] = padded[:, r0 + dy : r0 + dy + n, dx : dx + w]
+        np.matmul(flat, cols.reshape(c_in * 9, n * w), out=out[:, r0 * w : (r0 + n) * w])
+    out += bias[:, None]
+    return out.reshape(c_out, h, w)
 
 
 def fuse_row(op, ow, sp, sw, pool_op):

@@ -1,10 +1,10 @@
 import errno
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import traced_peak
 from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse import cache
 from scenefuse.cache import (
@@ -43,21 +43,29 @@ def test_round_trip_bit_identical(records, tmp_path):
     assert path.read_bytes() == first
 
 
-def test_load_holds_no_copy_of_the_file(rng, tmp_path):
-    # 1 MiB of values: a buffer of the whole file or a second copy of each
-    # record would almost double the peak
-    records = [FeatureRecord(label=i % 3, path=f"c{i % 3}/img_{i}.ppm",
-                             values=rng.normal(0, 1, 4096).astype(np.float32))
-               for i in range(64)]
+@pytest.fixture
+def mib_of_records(rng):
+    """64 records of 4096 values, 1 MiB in all."""
+    return [FeatureRecord(label=i % 3, path=f"c{i % 3}/img_{i}.ppm",
+                          values=rng.normal(0, 1, 4096).astype(np.float32))
+            for i in range(64)]
+
+
+def test_load_holds_no_copy_of_the_file(mib_of_records, tmp_path):
+    # a buffer of the whole file or a second copy of each record would
+    # almost double the peak
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 4096, records)
-    tracemalloc.start()
-    try:
-        _, loaded = load_cache(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    save_cache(str(path), 4096, mib_of_records)
+    (_, loaded), peak = traced_peak(lambda: load_cache(str(path)))
     assert peak <= 1.1 * sum(r.values.nbytes for r in loaded)
+
+
+def test_save_holds_no_copy_of_the_file(mib_of_records, tmp_path):
+    # joining the records, or a bytes copy of each record's values, would
+    # put a second copy of the file on the heap
+    path = tmp_path / "f.hdfc"
+    _, peak = traced_peak(lambda: save_cache(str(path), 4096, mib_of_records))
+    assert peak <= 0.1 * path.stat().st_size
 
 
 class _DiskFull:

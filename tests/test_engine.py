@@ -1,8 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import traced_peak
 from scenefuse import engine
 from scenefuse.engine import (
     CONV3X3, MAXPOOL2, LayerSpec, NetworkSpec, conv2d, conv2d_naive,
@@ -11,7 +12,8 @@ from scenefuse.engine import (
 from scenefuse.weights import random_bundle
 
 from oracles import (
-    conv2d_loops, conv2d_loops_f32, gap_flat_sum, maxpool2_windows, normalized_max_error,
+    conv2d_loops, conv2d_loops_f32, conv2d_padded, gap_flat_sum, maxpool2_windows,
+    normalized_max_error,
 )
 
 
@@ -103,19 +105,35 @@ class TestConv2d:
         ref = conv2d_naive(x, kernel, bias)
         assert normalized_max_error(conv2d(x, kernel, bias), ref) <= 1e-5
 
+    # (c_in, c_out, h, w, block budget in rows, seed): a budget of 0 rows
+    # gives one-row blocks, 5 of 12 rows a ragged last block, 12 one block
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 13), st.integers(0, 2 ** 32 - 1))
+    @example(3, 2, 12, 7, 0, 1)
+    @example(3, 2, 12, 7, 5, 2)
+    @example(3, 2, 12, 7, 12, 3)
+    def test_bit_identical_to_whole_layer_padding(self, c_in, c_out, h, w, rows, seed):
+        r = np.random.default_rng(seed)
+        x = f32(c_in, h, w, rng=r)
+        kernel = f32(c_out, c_in, 3, 3, rng=r)
+        bias = f32(c_out, rng=r)
+        budget = max(1, rows * c_in * 9 * w * 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK_BYTES", budget)
+            out = conv2d(x, kernel, bias)
+        ref = conv2d_padded(x, kernel, bias, budget)
+        assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+
     def test_column_memory_stays_within_blocks(self, rng):
-        # conv2 of VGG16: the padded input, the output and one block of columns
-        # take about 30 MB, a whole-layer column matrix alone would take 115 MB
+        # conv2 of VGG16: the output, one block of columns and its padded band
+        # of input rows take about 17.6 MB; a padded copy of the whole input
+        # adds 13 MB more, and a whole-layer column matrix alone takes 115 MB
         x = f32(64, 224, 224, rng=rng)
         kernel = f32(64, 64, 3, 3, rng=rng, scale=1 / 24)
         bias = f32(64, rng=rng)
-        tracemalloc.start()
-        try:
-            conv2d(x, kernel, bias)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        _, peak = traced_peak(lambda: conv2d(x, kernel, bias))
+        assert peak < 20e6
 
     def test_translation_consistency(self, rng):
         x = f32(1, 8, 8, rng=rng)

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from oracles import fuse_row
 from scenefuse import pipeline
 from scenefuse.engine import forward_to_pool5, gap
@@ -11,7 +14,7 @@ from scenefuse.pipeline import (
     FEATURE_DIM, POOL_OPS, SOURCES, Backend, extract_base_features, fuse_matrix,
     resize_to_working,
 )
-from scenefuse.slicing import slice_all
+from scenefuse.slicing import render_slice, slice_all
 from scenefuse.synthetic import stub_spec
 from scenefuse.weights import ConvEntry, WeightBundle, random_bundle
 
@@ -121,7 +124,40 @@ class TestExtractPart:
         ]
         assert len(vectors) == 20
         expected = np.stack(vectors).mean(axis=0, dtype=np.float32)
-        assert np.allclose(part, expected, atol=1e-6)
+        assert np.array_equal(part, expected)
+
+    @pytest.mark.parametrize("scene_means, fills", [((124.0, 117.0, 104.0), 1),
+                                                    ((90.0, 80.0, 70.0), 2)])
+    def test_holds_one_render_per_fill_at_a_time(self, rng, monkeypatch, scene_means, fills):
+        obj = tiny_backend("object", seed=1)
+        spec = stub_spec(mid_channels=4)
+        scn = Backend(kind="scene", spec=spec,
+                      weights=random_bundle(spec, seed=2, means=scene_means))
+        raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
+        renders, alive = [], []
+
+        def rendering(*args):
+            sub = render_slice(*args)
+            renders.append(weakref.ref(sub.pixels))
+            return sub
+
+        def forward(*args):
+            alive.append(sum(r() is not None for r in renders))
+            return forward_to_pool5(*args)
+
+        monkeypatch.setattr(pipeline, "render_slice", rendering)
+        monkeypatch.setattr(pipeline, "forward_to_pool5", forward)
+        extract_base_features(obj, scn, raster)
+        assert len(renders) == 20 * fills
+        assert len(alive) == 42
+        assert max(alive) <= fills
+
+    def test_peak_is_below_twenty_renders(self, rng, stub_pair):
+        # one image through the stub trunks: holding the 20 rendered slices
+        # alone would take 12 MB; streamed, extraction peaks near 8 MB
+        raster = rng.uniform(0, 255, (300, 400, 3)).astype(np.float32)
+        _, peak = traced_peak(lambda: extract_base_features(*stub_pair, raster))
+        assert peak < 20 * 3 * 224 * 224 * 4
 
 
 class TestExtractBaseFeatures:

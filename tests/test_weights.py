@@ -1,11 +1,11 @@
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import traced_peak
 from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse.binfile import BoundedReader
 from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec, validate_bundle, vgg16_spec
@@ -53,15 +53,19 @@ def test_load_holds_no_copy_of_the_file(tmp_path):
     spec = NetworkSpec((LayerSpec(CONV3X3, 256, 256),) * 3)
     path = tmp_path / "w.hdfw"
     save_weights(random_bundle(spec, seed=0), str(path))
-    tracemalloc.start()
-    try:
-        loaded = load_weights(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: load_weights(str(path)))
     arrays = loaded.means.nbytes + sum(e.kernel.nbytes + e.bias.nbytes
                                        for e in loaded.entries)
     assert peak <= 1.1 * arrays
+
+
+def test_save_holds_no_copy_of_the_file(tmp_path):
+    # the same 7 MB of kernels: joining the fields, or a bytes copy of each
+    # array, would put a second copy of the file on the heap
+    bundle = random_bundle(NetworkSpec((LayerSpec(CONV3X3, 256, 256),) * 3), seed=0)
+    path = tmp_path / "w.hdfw"
+    _, peak = traced_peak(lambda: save_weights(bundle, str(path)))
+    assert peak <= 0.1 * path.stat().st_size
 
 
 def test_bad_magic(bundle, tmp_path):
