@@ -26,8 +26,12 @@ class BoundedReader:
                 f"{self.path}: truncated {self.noun} while reading {what} "
                 f"(need {n} bytes at offset {self.size - self.left}, have {have})")
 
-    def take(self, n: int, what: str) -> bytes:
+    def need(self, n: int, what: str) -> None:
+        """Check that at least `n` bytes are left, before they size an allocation."""
         self._check(n, what, self.left)
+
+    def take(self, n: int, what: str) -> bytes:
+        self.need(n, what)
         data = self.fh.read(n)
         self._check(n, what, len(data))
         self.left -= n
@@ -38,8 +42,11 @@ class BoundedReader:
 
     def f32s(self, count: int, what: str) -> np.ndarray:
         """`count` little-endian float32 values, read into a fresh array."""
-        self._check(4 * count, what, self.left)
-        out = np.empty(count, dtype="<f4")
+        self.need(4 * count, what)
+        return self.read_into(np.empty(count, dtype="<f4"), what)
+
+    def read_into(self, out: np.ndarray, what: str) -> np.ndarray:
+        """Fill the C-contiguous array `out` with the next `out.nbytes` bytes."""
         self._check(out.nbytes, what, self.fh.readinto(out))
         self.left -= out.nbytes
         return out

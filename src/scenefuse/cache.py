@@ -1,6 +1,7 @@
-"""Feature cache files (magic ``HDFC``), read straight from the open file.
+"""Feature cache files (magic ``HDFC``): one labelled path per matrix row.
 
-Little-endian layout::
+Each row of an (N, dim) float32 matrix is stored with a label and an
+image path. Little-endian layout::
 
     "HDFC"              4 bytes magic
     version             u32 (currently 1)
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,43 +47,37 @@ class CacheDimensionError(CacheFileError):
     """Cache feature dimension differs from what the consumer expects."""
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    label: int
-    path: str
-    values: np.ndarray  # (dim,) float32
+def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
+    """Write each row of `matrix`, from its buffer, with its label and path.
 
-
-def save_cache(path: str, dim: int, records) -> None:
-    """Write a feature cache under a temporary name, then rename it over
-    `path`: an interrupted write leaves the previous file, or none. Every
-    record is checked first, and its values are written from their buffer."""
-    records = list(records)
-    fields = [MAGIC, struct.pack("<III", FORMAT_VERSION, dim, len(records))]
-    for rec in records:
-        values = np.ascontiguousarray(rec.values, dtype="<f4")
-        if values.shape != (dim,):
-            raise CacheDimensionError(
-                f"record {rec.path!r} has {values.shape} values, cache dim is {dim}"
-            )
-        encoded = rec.path.encode("utf-8")
-        fields += [struct.pack("<II", int(rec.label), len(encoded)) + encoded, values]
+    The file is written under a temporary name, then renamed over `path`:
+    an interrupted write leaves the previous file, or none.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype="<f4")
+    if matrix.ndim != 2 or not len(labels) == len(paths) == matrix.shape[0]:
+        raise CacheDimensionError(f"{len(labels)} labels and {len(paths)} paths for a "
+                                  f"matrix of shape {matrix.shape}; need one per row")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for field in fields:
-                fh.write(field)
+            fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1],
+                                         matrix.shape[0]))
+            for label, rec_path, row in zip(labels, paths, matrix):
+                encoded = rec_path.encode("utf-8")
+                fh.write(struct.pack("<II", int(label), len(encoded)) + encoded)
+                fh.write(row)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def load_cache(path: str, expect_dim: int | None = None) -> tuple[int, list[FeatureRecord]]:
-    """Read a feature cache straight from the file; returns (dim, records).
+def load_cache(path: str, expect_dim: int | None = None):
+    """Read a feature cache straight from the file; returns (labels, paths, matrix).
 
-    Passing `expect_dim` turns a dimension mismatch into
-    :class:`CacheDimensionError` at load time.
+    `labels` is an (N,) integer array, `paths` a list of N strings and
+    `matrix` an (N, dim) float32 array. Passing `expect_dim` turns a
+    dimension mismatch into :class:`CacheDimensionError` at load time.
     """
     with open(path, "rb") as fh:
         rd = BoundedReader(fh, path, CacheTruncatedError, "cache")
@@ -95,15 +89,16 @@ def load_cache(path: str, expect_dim: int | None = None) -> tuple[int, list[Feat
             raise CacheVersionError(f"{path}: unsupported cache version {version}")
         if expect_dim is not None and dim != expect_dim:
             raise CacheDimensionError(f"{path}: cache dim {dim}, expected {expect_dim}")
-        records = []
+        # every record holds at least its two u32 fields and its values
+        rd.need(count * (8 + 4 * dim), f"{count} records")
+        labels, paths, matrix = np.empty(count, np.intp), [], np.empty((count, dim), "<f4")
         for i in range(count):
-            label, path_len = rd.unpack("<II", f"record {i} header")
+            labels[i], path_len = rd.unpack("<II", f"record {i} header")
             try:
-                rec_path = rd.take(path_len, f"record {i} path").decode("utf-8")
+                paths.append(rd.take(path_len, f"record {i} path").decode("utf-8"))
             except UnicodeDecodeError:
                 raise CacheFileError(f"{path}: record {i} path is not UTF-8") from None
-            values = rd.f32s(dim, f"record {i} values")
-            records.append(FeatureRecord(label=label, path=rec_path, values=values))
+            rd.read_into(matrix[i], f"record {i} values")
         if rd.left:
             raise CacheFileError(f"{path}: {rd.left} trailing bytes after last record")
-    return dim, records
+    return labels, paths, matrix

@@ -57,6 +57,10 @@ class ModelTruncatedError(ModelFileError):
     pass
 
 
+class TrainingDataError(ValueError):
+    """Features or labels that no model can be fitted to, tuned or scored on."""
+
+
 # ---------------------------------------------------------------------------
 # The solver
 # ---------------------------------------------------------------------------
@@ -224,11 +228,11 @@ def _check_training_inputs(X: np.ndarray, labels: np.ndarray, c: float):
     if X.ndim != 2 or labels.ndim != 1 or X.shape[0] != labels.shape[0]:
         raise ValueError(f"bad shapes X{X.shape} labels{labels.shape}")
     if X.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
+        raise TrainingDataError("need at least 2 samples")
     if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
+        raise TrainingDataError("features contain non-finite values")
     if labels.min() == labels.max():
-        raise ValueError("need at least 2 classes")
+        raise TrainingDataError("need at least 2 classes")
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"cost parameter must be positive, got {c}")
     return X, labels
@@ -336,6 +340,8 @@ def predict(model: LinearModel, X: np.ndarray) -> np.ndarray:
 def evaluate(model: LinearModel, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of correctly predicted samples."""
     y = np.asarray(y)
+    if not y.size:
+        raise TrainingDataError("no samples to evaluate")
     pred = predict(model, X)
     if pred.shape != y.shape:
         raise ValueError(f"label shape {y.shape} does not match {pred.shape}")
@@ -370,7 +376,7 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     for pos, cls in enumerate(np.unique(labels)):
         idx = np.flatnonzero(labels == cls)
         if idx.size < folds:
-            raise ValueError(
+            raise TrainingDataError(
                 f"class {cls} has {idx.size} samples, fewer than {folds} folds"
             )
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), _FOLD_STREAM, pos]))

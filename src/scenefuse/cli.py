@@ -3,8 +3,9 @@
 Commands: ``slice``, ``extract``, ``train``, ``eval``, ``experiment``,
 ``validate-weights`` and ``bench``. Exit codes are a stable scripting
 contract: 0 success, 2 configuration error, 3 data error, 4 internal
-error. Every command validates its configuration before performing any
-write.
+error (any exception but the typed errors that name bad input and
+``OSError``). Every command validates its configuration before performing
+any write.
 
 A flat JSON config file (``--config``) may supply any of the shared
 options, each value checked against its flag's type or choices; explicit
@@ -43,9 +44,14 @@ _CONFIG_KEYS = {"object_weights": str, "scene_weights": str, "pool": _POOLS,
 
 _DEFAULTS = {"pool": "concat", "feature_type": "hdf", "seed": 0, "folds": 5}
 
-# bad input data, exit 3; the loaders' typed errors (NetpbmError, WeightFileError,
-# CacheFileError, DatasetError, ModelFileError) all derive from ValueError
-_DATA_ERRORS = (ValueError, FloatingPointError, OSError)
+
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The errors that name bad input, exit 3; any other exception is a bug, exit 4."""
+    from . import cache, classifier, datasets, engine, imageio, weights
+
+    return (imageio.NetpbmError, weights.WeightFileError, engine.BundleError,
+            cache.CacheFileError, datasets.DatasetError, classifier.ModelFileError,
+            classifier.TrainingDataError, FloatingPointError, OSError)
 
 
 class CliConfigError(Exception):
@@ -262,11 +268,9 @@ def cmd_slice(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .cache import FeatureRecord, save_cache
+    from .cache import save_cache
     from .datasets import DatasetError, scan_dataset
-    from .experiment import FeatureConfig, config_matrix
-    from .imageio import read_raster
-    from .pipeline import extract_base_features
+    from .experiment import FeatureConfig, config_matrix, extract_dataset
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
@@ -281,44 +285,33 @@ def cmd_extract(args) -> int:
     manifest = scan_dataset(args.dataset)
     paths, labels = manifest.flat_paths_labels()
 
-    records = []
-    failures = 0
-    for path, label in zip(paths, labels):
-        try:
-            base = extract_base_features(object_backend, scene_backend,
-                                         read_raster(path), config.sources)
-            values = config_matrix({s: v[None] for s, v in base.items()}, config)[0]
-            records.append(FeatureRecord(label=int(label), path=path, values=values))
-        except _DATA_ERRORS as exc:  # a bad file: reported, summarized at the end
-            failures += 1
-            detail = str(exc)  # the reader's errors name the file already
-            print(f"error: {detail if path in detail else f'{path}: {detail}'}",
-                  file=sys.stderr)
-    if failures:
-        print(f"{failures} files failed", file=sys.stderr)
-    if not records:
+    # a file that cannot be read is skipped and reported; the rest are written
+    base, failed = extract_dataset(paths, object_backend, scene_backend, config.sources)
+    if failed:
+        print(*(f"error: {message}" for _, message in failed),
+              f"{len(failed)} files failed", sep="\n", file=sys.stderr)
+    if len(failed) == len(paths):
         raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
+    bad = {path for path, _ in failed}
+    kept = [i for i, path in enumerate(paths) if path not in bad]
+    matrix = config_matrix(base, config)
 
     suffix = f"{feature_type}-{args.pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
-    save_cache(cache_path, config.dim, records)
-    print(f"wrote {len(records)} records (dim {config.dim}) to {cache_path}")
-    return EXIT_DATA if failures else EXIT_OK
+    save_cache(cache_path, labels[kept], [paths[i] for i in kept], matrix)
+    print(f"wrote {len(kept)} records (dim {config.dim}) to {cache_path}")
+    return EXIT_DATA if failed else EXIT_OK
 
 
 def cmd_train(args) -> int:
-    import numpy as np
-
     from .cache import load_cache
     from .classifier import grid_search_c, save_model, train_ovr
 
     cache_path = _require_file(args.features, "--features cache")
     out_dir = _require_out(args)
     folds = _require_folds(args)
-    _, records = load_cache(cache_path)
-    X = np.stack([r.values for r in records])
-    y = np.asarray([r.label for r in records])
+    y, _, X = load_cache(cache_path)
 
     report = grid_search_c(X, y, folds=folds, seed=int(args.seed))
     model = train_ovr(X, y, report.chosen_c)
@@ -342,19 +335,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from .cache import load_cache
     from .classifier import evaluate, load_model
 
     model_path = _require_file(args.model, "--model file")
     cache_path = _require_file(args.features, "--features cache")
     model = load_model(model_path)
-    _, records = load_cache(cache_path, expect_dim=model.feature_dim)
-    X = np.stack([r.values for r in records])
-    y = np.asarray([r.label for r in records])
+    y, _, X = load_cache(cache_path, expect_dim=model.feature_dim)
     accuracy = evaluate(model, X, y)
-    doc = {"accuracy": accuracy, "count": len(records), "model": model_path,
+    doc = {"accuracy": accuracy, "count": len(y), "model": model_path,
            "features": cache_path}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if getattr(args, "out", None):
@@ -477,10 +466,10 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as exc:
+        if isinstance(exc, _data_errors()):
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -195,7 +195,10 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
     into the harness.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: not a JSON split file: {exc}") from None
     position = {
         class_name: {p: i for i, p in enumerate(paths)}
         for class_name, paths in manifest.classes

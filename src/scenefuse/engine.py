@@ -224,6 +224,10 @@ def vgg16_spec() -> NetworkSpec:
     return NetworkSpec(tuple(layers))
 
 
+class BundleError(ValueError):
+    """A weight bundle that does not fit its trunk."""
+
+
 def validate_bundle(spec: NetworkSpec, bundle) -> None:
     """Check a weight bundle against a spec: entry count and all shapes.
 
@@ -231,30 +235,30 @@ def validate_bundle(spec: NetworkSpec, bundle) -> None:
     `.means`; the concrete type lives in :mod:`scenefuse.weights`.
 
     Raises:
-        ValueError: on any count or shape mismatch.
+        BundleError: on any count or shape mismatch, or means outside [0, 255].
     """
     convs = spec.conv_layers
     if len(bundle.entries) != len(convs):
-        raise ValueError(
+        raise BundleError(
             f"bundle has {len(bundle.entries)} conv entries, spec needs {len(convs)}"
         )
     for i, (entry, layer) in enumerate(zip(bundle.entries, convs)):
         want = (layer.out_channels, layer.in_channels, 3, 3)
         if tuple(entry.kernel.shape) != want:
-            raise ValueError(
+            raise BundleError(
                 f"entry {i} ({getattr(entry, 'name', '?')}): kernel shape "
                 f"{tuple(entry.kernel.shape)} != {want}"
             )
         if tuple(entry.bias.shape) != (layer.out_channels,):
-            raise ValueError(
+            raise BundleError(
                 f"entry {i} ({getattr(entry, 'name', '?')}): bias shape "
                 f"{tuple(entry.bias.shape)} != ({layer.out_channels},)"
             )
     means = np.asarray(bundle.means, dtype=np.float32)
     if means.shape != (3,):
-        raise ValueError(f"bundle means must be 3 floats, got shape {means.shape}")
+        raise BundleError(f"bundle means must be 3 floats, got shape {means.shape}")
     if not np.all(np.isfinite(means)) or means.min() < 0 or means.max() > 255:
-        raise ValueError(f"bundle means out of range [0, 255]: {means}")
+        raise BundleError(f"bundle means out of range [0, 255]: {means}")
 
 
 def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import FeatureRecord, load_cache, save_cache
+from .cache import load_cache, save_cache
 from .classifier import (C_GRID, GridSearchReport, evaluate, grid_search_c, train_ovr)
-from .datasets import DatasetManifest, SplitPlan, SplitProtocol, make_split
-from .imageio import read_raster
+from .datasets import DatasetError, DatasetManifest, SplitPlan, SplitProtocol, make_split
+from .imageio import NetpbmError, read_raster
 from .pipeline import (FEATURE_DIM, POOL_OPS, SOURCES, Backend,
                        extract_base_features, fuse_matrix)
 
@@ -136,15 +136,37 @@ def _try_load_base(cache_dir, dataset, digest, paths, labels):
         path = _cache_path(cache_dir, dataset, source, digest)
         if not os.path.isfile(path):
             return None
-        dim, records = load_cache(path, expect_dim=FEATURE_DIM)
-        if len(records) != len(paths):
+        cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
+        if cached_paths != paths or not np.array_equal(cached_labels, labels):
             return None
-        if any(r.path != p or r.label != int(l)
-               for r, p, l in zip(records, paths, labels)):
-            return None
-        mats[source] = np.stack([r.values for r in records])
     logger.info("loaded cached base features from %s", cache_dir)
     return mats
+
+
+def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backend | None,
+                    sources=SOURCES):
+    """The one loop over a dataset's images; returns (matrices, failed).
+
+    `matrices` maps each source to a float32 (N_ok, 512) array, one row per
+    image read, in the order of `paths`. A failed read (NetpbmError,
+    OSError) adds a (path, message naming the path) pair to `failed` and
+    the loop goes on; any other error propagates.
+    """
+    mats = {s: np.empty((len(paths), FEATURE_DIM), dtype=np.float32) for s in sources}
+    failed = []
+    row = 0
+    for path in paths:
+        try:
+            raster = read_raster(path)
+        except (NetpbmError, OSError) as exc:
+            message = str(exc)  # the reader's errors name the file already
+            failed.append((path, message if path in message else f"{path}: {message}"))
+            continue
+        base = extract_base_features(object_backend, scene_backend, raster, sources)
+        for source in sources:
+            mats[source][row] = base[source]
+        row += 1
+    return {s: m[:row] for s, m in mats.items()}, failed
 
 
 def compute_base_features(
@@ -157,7 +179,9 @@ def compute_base_features(
 
     Returns (matrices, labels, paths) with matrices mapping each source to
     an (N, 512) float32 array in manifest order. When `cache_dir` is given,
-    matching caches are reused and fresh results are written back.
+    matching caches are reused and fresh results are written back. Images
+    that cannot be read raise one DatasetError naming them all, before any
+    cache is written.
     """
     paths, labels = manifest.flat_paths_labels()
     if cache_dir:
@@ -166,22 +190,16 @@ def compute_base_features(
         if cached is not None:
             return cached, labels, paths
 
-    mats = {s: np.empty((len(paths), FEATURE_DIM), dtype=np.float32) for s in SOURCES}
-    for i, path in enumerate(paths):
-        raster = read_raster(path)
-        base = extract_base_features(object_backend, scene_backend, raster)
-        for source in SOURCES:
-            mats[source][i] = base[source]
+    mats, failed = extract_dataset(paths, object_backend, scene_backend)
+    if failed:
+        raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
+                           + "; ".join(message for _, message in failed))
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         for source in SOURCES:
-            records = [
-                FeatureRecord(label=int(l), path=p, values=mats[source][i])
-                for i, (p, l) in enumerate(zip(paths, labels))
-            ]
             save_cache(_cache_path(cache_dir, manifest.name, source, digest),
-                       FEATURE_DIM, records)
+                       labels, paths, mats[source])
     return mats, labels, paths
 
 

@@ -64,16 +64,6 @@ def _parse_netpbm(path: str, data: bytes, magic: bytes, channels: int) -> np.nda
     return arr.reshape(height, width, channels)
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary PGM (P5) file into a (H, W) uint8 array."""
-    return _parse_netpbm(path, Path(path).read_bytes(), b"P5", 1)
-
-
-def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM (P6) file into a (H, W, 3) uint8 array."""
-    return _parse_netpbm(path, Path(path).read_bytes(), b"P6", 3)
-
-
 def read_raster(path: str) -> np.ndarray:
     """Read a PPM or PGM into a (H, W, 3) float32 array in [0, 255].
 

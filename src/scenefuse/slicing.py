@@ -212,16 +212,3 @@ def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> SubImage:
     pixels = bilinear_resize(composited, OUTPUT_SIZE, OUTPUT_SIZE)
     return SubImage(pixels=pixels, technique=slice_mask.technique, index=slice_mask.index)
 
-
-def slice_all(image: np.ndarray, fill=(0.0, 0.0, 0.0)) -> list[SubImage]:
-    """Cut a working image into its 20 sub-images in fixed order.
-
-    `image` is channel-major (3, S, S) in pixel-intensity units; slices are
-    rendered at 3x224x224 regardless of S. The feature pipeline passes the
-    backend's channel means as `fill` so that, after mean subtraction,
-    filled pixels contribute zero activation offset.
-    """
-    image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:
-        raise ValueError(f"working image must be (3, S, S), got {image.shape}")
-    return [render_slice(image, m, fill) for m in all_masks(image.shape[1])]

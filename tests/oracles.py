@@ -9,12 +9,15 @@ bit; `train_binary`, the damped Newton-CG-Armijo iteration of
 `scenefuse.classifier` written for one problem at a time, which the
 stacked solver must follow problem by problem; and `grid_search_nested`,
 which checks how the grid search arranges its solves and scores, and so
-uses the fold assignment, which is checked on its own.
+uses the fold assignment, which is checked on its own; and `slice_all`,
+which renders the 20 slices of an image at once with the library's own
+masks and renderer, the whole-list view that extraction streams.
 """
 
 import numpy as np
 
 from scenefuse.classifier import DEFAULT_TOL, MAX_ITER, GridSearchReport, stratified_folds
+from scenefuse.slicing import all_masks, render_slice
 
 
 def conv2d_loops(x, kernel, bias):
@@ -105,6 +108,18 @@ def fuse_row(op, ow, sp, sw, pool_op):
         raise ValueError(pool_op)
     norm = np.sqrt(np.sum(fused.astype(np.float64) ** 2))
     return fused / np.float32(norm)
+
+
+def slice_all(image, fill=(0.0, 0.0, 0.0)):
+    """Cut a channel-major (3, S, S) working image into its 20 sub-images.
+
+    They come in the fixed order of `all_masks`, each rendered at
+    3x224x224 regardless of S.
+    """
+    image = np.asarray(image, dtype=np.float32)
+    if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:
+        raise ValueError(f"working image must be (3, S, S), got {image.shape}")
+    return [render_slice(image, m, fill) for m in all_masks(image.shape[1])]
 
 
 def maxpool2_windows(x):

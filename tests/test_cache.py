@@ -1,4 +1,5 @@
 import errno
+import struct
 
 import numpy as np
 import pytest
@@ -9,63 +10,75 @@ from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse import cache
 from scenefuse.cache import (
     CacheBadMagicError, CacheDimensionError, CacheFileError, CacheTruncatedError,
-    CacheVersionError, FeatureRecord, load_cache, save_cache,
+    CacheVersionError, load_cache, save_cache,
 )
 
 VALID = saved_bytes(
-    lambda records, path: save_cache(path, 4, records),
-    [FeatureRecord(label=i, path=f"c{i}/img.ppm",
-                   values=np.arange(4, dtype=np.float32) + i) for i in range(3)],
+    lambda matrix, path: save_cache(path, [0, 1, 2], [f"c{i}/img.ppm" for i in range(3)],
+                                    matrix),
+    np.arange(4, dtype=np.float32) + np.arange(3, dtype=np.float32)[:, None],
 )
 # magic, header and record 0's label and path length take 24 bytes
 NON_UTF8_PATH = VALID[:24] + b"\xff" + VALID[25:]
 
 
+def rows(rng, count, dim):
+    """(labels, paths, matrix) for `count` rows of `dim` values."""
+    paths = [f"images/class_{i % 3}/img_{i}.ppm" for i in range(count)]
+    return np.arange(count) % 3, paths, rng.normal(0, 1, (count, dim)).astype(np.float32)
+
+
 @pytest.fixture
 def records(rng):
-    return [
-        FeatureRecord(label=i % 3, path=f"images/class_{i % 3}/img_{i}.ppm",
-                      values=rng.normal(0, 1, 16).astype(np.float32))
-        for i in range(7)
-    ]
+    return rows(rng, 7, 16)
 
 
 def test_round_trip_bit_identical(records, tmp_path):
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     first = path.read_bytes()
-    dim, loaded = load_cache(str(path))
-    assert dim == 16
-    assert [(r.label, r.path) for r in loaded] == [(r.label, r.path) for r in records]
-    for a, b in zip(loaded, records):
-        assert np.array_equal(a.values, b.values)
-    save_cache(str(path), 16, loaded)
+    labels, paths, matrix = load_cache(str(path))
+    assert np.array_equal(labels, records[0]) and paths == records[1]
+    assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
+    assert np.array_equal(matrix, records[2])
+    save_cache(str(path), labels, paths, matrix)
     assert path.read_bytes() == first
 
 
 @pytest.fixture
 def mib_of_records(rng):
     """64 records of 4096 values, 1 MiB in all."""
-    return [FeatureRecord(label=i % 3, path=f"c{i % 3}/img_{i}.ppm",
-                          values=rng.normal(0, 1, 4096).astype(np.float32))
-            for i in range(64)]
+    return rows(rng, 64, 4096)
 
 
 def test_load_holds_no_copy_of_the_file(mib_of_records, tmp_path):
-    # a buffer of the whole file or a second copy of each record would
-    # almost double the peak
+    # a buffer of the whole file, a second copy of each record, or records
+    # stacked into a matrix would almost double the peak
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 4096, mib_of_records)
-    (_, loaded), peak = traced_peak(lambda: load_cache(str(path)))
-    assert peak <= 1.1 * sum(r.values.nbytes for r in loaded)
+    save_cache(str(path), *mib_of_records)
+    (_, _, matrix), peak = traced_peak(lambda: load_cache(str(path)))
+    assert peak <= 1.1 * matrix.nbytes
 
 
 def test_save_holds_no_copy_of_the_file(mib_of_records, tmp_path):
-    # joining the records, or a bytes copy of each record's values, would
-    # put a second copy of the file on the heap
+    # joining the records, or a bytes copy of each row, would put a second
+    # copy of the file on the heap
     path = tmp_path / "f.hdfc"
-    _, peak = traced_peak(lambda: save_cache(str(path), 4096, mib_of_records))
+    _, peak = traced_peak(lambda: save_cache(str(path), *mib_of_records))
     assert peak <= 0.1 * path.stat().st_size
+
+
+def test_count_past_the_file_end_allocates_nothing(records, tmp_path):
+    # the count is checked against the bytes left before it sizes the matrix
+    path = tmp_path / "f.hdfc"
+    save_cache(str(path), *records)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 12, 2**32 - 1)
+    path.write_bytes(bytes(data))
+    error, peak = traced_peak(
+        lambda: pytest.raises(CacheTruncatedError, load_cache, str(path)))
+    assert "records" in str(error.value)
+    assert peak < 64 * 1024
 
 
 class _DiskFull:
@@ -89,18 +102,18 @@ class _DiskFull:
 def test_failed_write_leaves_previous_file(records, tmp_path, monkeypatch, previous):
     path = tmp_path / "f.hdfc"
     if previous:
-        save_cache(str(path), 16, records)
+        save_cache(str(path), *records)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setattr(cache, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
-        save_cache(str(path), 16, records[:3])
+        save_cache(str(path), *(part[:3] for part in records))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_bad_magic(records, tmp_path):
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     data = bytearray(path.read_bytes())
     data[:4] = b"NOPE"
     path.write_bytes(bytes(data))
@@ -110,17 +123,15 @@ def test_bad_magic(records, tmp_path):
 
 def test_truncated(records, tmp_path):
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(CacheTruncatedError):
         load_cache(str(path))
 
 
 def test_version_rejected(records, tmp_path):
-    import struct
-
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     data = bytearray(path.read_bytes())
     struct.pack_into("<I", data, 4, 9)
     path.write_bytes(bytes(data))
@@ -130,19 +141,23 @@ def test_version_rejected(records, tmp_path):
 
 def test_dimension_mismatch_on_expectation(records, tmp_path):
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     with pytest.raises(CacheDimensionError, match="16"):
         load_cache(str(path), expect_dim=2048)
 
 
 def test_record_dim_checked_on_save(records, tmp_path):
+    labels, paths, matrix = records
     with pytest.raises(CacheDimensionError):
-        save_cache(str(tmp_path / "f.hdfc"), 32, records)
+        save_cache(str(tmp_path / "f.hdfc"), labels[:-1], paths, matrix)
+    with pytest.raises(CacheDimensionError):
+        save_cache(str(tmp_path / "f.hdfc"), labels[:1], paths[:1], matrix[0])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trailing_bytes_rejected(records, tmp_path):
     path = tmp_path / "f.hdfc"
-    save_cache(str(path), 16, records)
+    save_cache(str(path), *records)
     path.write_bytes(path.read_bytes() + b"z")
     with pytest.raises(CacheFileError, match="trailing"):
         load_cache(str(path))

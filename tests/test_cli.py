@@ -73,9 +73,8 @@ class TestExtract:
         assert rc == 0
         caches = list(out.glob("*.hdfc"))
         assert len(caches) == 1
-        dim, records = load_cache(str(caches[0]))
-        assert dim == 2048
-        assert len(records) == manifest.total_images
+        _, _, matrix = load_cache(str(caches[0]))
+        assert matrix.shape == (manifest.total_images, 2048)
 
     def test_single_type_is_512(self, tiny_dataset, weight_files, tmp_path):
         root, _ = tiny_dataset
@@ -86,8 +85,8 @@ class TestExtract:
             "--feature-type", "ow", "--out", str(out),
         ])
         assert rc == 0
-        dim, _ = load_cache(str(next(out.glob("*_ow.hdfc"))))
-        assert dim == 512
+        _, _, matrix = load_cache(str(next(out.glob("*_ow.hdfc"))))
+        assert matrix.shape[1] == 512
 
     @pytest.mark.parametrize("feature_type, per_image", [("ow", 1), ("op", 20)])
     def test_forwards_only_for_the_requested_source(self, feature_type, per_image,
@@ -313,8 +312,8 @@ class TestTrunkRecognition:
         path = tmp_path / "stub4.hdfw"
         save_weights(random_bundle(stub_spec(mid_channels=4), seed=0), str(path))
         assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_OK
-        dim, records = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
-        assert dim == 512 and len(records) == tiny_dataset[1].total_images
+        _, _, matrix = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
+        assert matrix.shape == (tiny_dataset[1].total_images, 512)
 
     def test_unknown_trunk_is_config_error(self, tiny_dataset, tmp_path):
         from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
@@ -407,8 +406,8 @@ class TestExtractFailures:
         assert "1 files failed" in captured.err
         assert str(victim) in captured.err
         # successful records are still flushed
-        dim, records = load_cache(str(next(out.glob("*.hdfc"))))
-        assert len(records) == 17
+        _, paths, matrix = load_cache(str(next(out.glob("*.hdfc"))))
+        assert matrix.shape == (17, 2048) and str(victim) not in paths
 
     def test_all_files_bad_is_data_error(self, weight_files, tmp_path, capsys):
         obj_w, scn_w = weight_files
@@ -434,24 +433,62 @@ class TestExtractFailures:
 
     def test_program_error_exits_internal_at_the_first_file(
             self, tiny_dataset, weight_files, tmp_path, capsys, monkeypatch):
-        from scenefuse import pipeline
+        # a ValueError is a bug too when no reader raised it
+        from scenefuse import experiment
 
-        calls = []
-
-        def broken(*args):
-            calls.append(args)
-            raise TypeError("a bug, not a bad file")
-
-        monkeypatch.setattr(pipeline, "extract_base_features", broken)
         root, _ = tiny_dataset
         obj_w, scn_w = weight_files
-        out = tmp_path / "features"
-        rc = cli.main(["extract", "--dataset", str(root), "--object-weights", obj_w,
-                       "--scene-weights", scn_w, "--out", str(out)])
-        assert rc == cli.EXIT_INTERNAL
-        assert len(calls) == 1
-        assert "internal error: TypeError" in capsys.readouterr().err
-        assert not out.exists()
+        for error in (TypeError, ValueError):
+            calls = []
+
+            def broken(*args):
+                calls.append(args)
+                raise error("a bug, not a bad file")
+
+            monkeypatch.setattr(experiment, "extract_base_features", broken)
+            out = tmp_path / error.__name__
+            rc = cli.main(["extract", "--dataset", str(root), "--object-weights", obj_w,
+                           "--scene-weights", scn_w, "--out", str(out)])
+            assert rc == cli.EXIT_INTERNAL, error
+            assert len(calls) == 1, error
+            assert f"internal error: {error.__name__}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_experiment_names_every_bad_file_and_writes_nothing(
+            self, tiny_dataset, weight_files, tmp_path, capsys):
+        import shutil
+
+        root, _ = tiny_dataset
+        broken_root = tmp_path / "broken"
+        shutil.copytree(root, broken_root)
+        victims = [next((broken_root / cls).glob("*.ppm")) for cls in ("class_00", "class_02")]
+        for victim in victims:
+            victim.write_bytes(b"P6\n4 4\n255\nshort")  # truncated raster
+        out = tmp_path / "exp"
+        rc = cli.main(experiment_args((broken_root, None), weight_files, out))
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        for victim in victims:
+            assert str(victim) in err
+        assert not (out / "report.json").exists()
+        assert list(out.rglob("*.hdfc")) == []
+
+    def test_one_class_cache_is_data_error(self, tmp_path, capsys):
+        from scenefuse.cache import save_cache
+
+        features = tmp_path / "one.hdfc"
+        save_cache(str(features), [0] * 4, [f"a/{i}.ppm" for i in range(4)],
+                   np.eye(4, dtype=np.float32))
+        rc = cli.main(["train", "--features", str(features), "--out", str(tmp_path / "m"),
+                       "--folds", "2"])
+        assert rc == cli.EXIT_DATA
+        assert "data error: need at least 2 classes" in capsys.readouterr().err
+
+    def test_split_file_not_json_is_data_error(self, tiny_dataset, weight_files, tmp_path):
+        split = tmp_path / "split.json"
+        split.write_text("{not json")
+        args = experiment_args(tiny_dataset, weight_files, tmp_path / "exp")
+        assert cli.main(args + ["--split-file", str(split)]) == cli.EXIT_DATA
 
     def test_unreadable_slice_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ppm"

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from scenefuse.datasets import SplitProtocol
+from scenefuse import experiment
+from scenefuse.datasets import DatasetManifest, SplitProtocol
 from scenefuse.experiment import (
     FeatureConfig, compute_base_features, config_matrix, default_configs,
-    format_table, pair_digest, run_experiment, tune_cost,
+    extract_dataset, format_table, pair_digest, run_experiment, tune_cost,
 )
 from scenefuse.pipeline import SOURCES
 
@@ -68,6 +69,35 @@ class TestBaseFeatures:
         for s in SOURCES:
             assert np.array_equal(base[s], again[s])
 
+    def test_one_image_positional_call(self, tiny_dataset, stub_pair):
+        # the shape in which the extraction benchmark calls it, image by image
+        _, manifest = tiny_dataset
+        class_name, class_paths = manifest.classes[1]
+        one = DatasetManifest(name=manifest.name, classes=((class_name, class_paths[:1]),))
+        mats, labels, paths = compute_base_features(one, *stub_pair, None)
+        assert sorted(mats) == sorted(SOURCES)
+        for mat in mats.values():
+            assert mat.shape == (1, 512) and mat.dtype == np.float32
+        assert list(labels) == [0] and paths == [class_paths[0]]
+
+    def test_unreadable_image_is_recorded_and_skipped(self, tiny_dataset, stub_pair,
+                                                      tmp_path):
+        _, manifest = tiny_dataset
+        good, _ = manifest.flat_paths_labels()
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\n4 4\n255\nshort")
+        missing = str(tmp_path / "missing.ppm")
+        paths = [good[0], str(bad), good[5], missing, good[9]]
+        mats, failed = extract_dataset(paths, *stub_pair, ("ow", "sp"))
+        assert [path for path, _ in failed] == [str(bad), missing]
+        for path, message in failed:
+            assert message.count(path) == 1
+        whole, none_failed = extract_dataset([good[0], good[5], good[9]], *stub_pair,
+                                             ("ow", "sp"))
+        assert none_failed == [] and sorted(mats) == ["ow", "sp"]
+        for source in ("ow", "sp"):
+            assert np.array_equal(mats[source], whole[source])
+
     def test_config_matrix_shapes(self, rng):
         base = {s: rng.normal(0, 1, (6, 512)).astype(np.float32) for s in SOURCES}
         assert config_matrix(base, FeatureConfig("sw")).shape == (6, 512)
@@ -128,6 +158,22 @@ class TestRunExperiment:
         report, _ = run
         by_name = {r.name: r for r in report.results}
         assert by_name["HDF-concat"].mean_accuracy == 1.0
+
+    def test_base_features_computed_once_through_the_module(
+            self, tiny_dataset, stub_pair, small_protocol, monkeypatch):
+        # perfbench's tracer replaces `experiment.compute_base_features` and times that span
+        _, manifest = tiny_dataset
+        calls = []
+        original = experiment.compute_base_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "compute_base_features", counting)
+        run_experiment(manifest, *stub_pair, small_protocol,
+                       configs=(FeatureConfig("ow"),), folds=5, c_values=range(1, 3))
+        assert len(calls) == 1
 
     def test_partial_flush_on_failure(self, tiny_dataset, stub_pair, small_protocol,
                                       tmp_path, monkeypatch):

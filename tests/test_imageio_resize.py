@@ -3,9 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenefuse.imageio import (
-    NetpbmError, read_pgm, read_ppm, read_raster, write_pgm, write_ppm,
-)
+from scenefuse.imageio import NetpbmError, read_raster, write_pgm, write_ppm
 from scenefuse.resize import bilinear_resize
 
 from corruption import corruptions, load_bytes, saved_bytes
@@ -25,34 +23,35 @@ class TestNetpbm:
         img = rng.integers(0, 256, (5, 7, 3)).astype(np.uint8)
         path = tmp_path / "a.ppm"
         write_ppm(str(path), img)
-        assert np.array_equal(read_ppm(str(path)), img)
+        raster = read_raster(str(path))
+        assert raster.dtype == np.float32 and np.array_equal(raster, img)
         # byte-stable on rewrite
         first = path.read_bytes()
-        write_ppm(str(path), read_ppm(str(path)))
+        write_ppm(str(path), raster)
         assert path.read_bytes() == first
 
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.integers(0, 256, (4, 6)).astype(np.uint8)
         path = tmp_path / "a.pgm"
         write_pgm(str(path), img)
-        assert np.array_equal(read_pgm(str(path)), img)
+        assert np.array_equal(read_raster(str(path)), np.repeat(img[:, :, None], 3, axis=2))
 
     def test_header_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n# another\n255\n\x01\x02\x03\x04")
-        assert np.array_equal(read_pgm(str(path)), [[1, 2], [3, 4]])
+        assert np.array_equal(read_raster(str(path))[:, :, 0], [[1, 2], [3, 4]])
 
     def test_wrong_maxval(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
         with pytest.raises(NetpbmError, match="maxval"):
-            read_pgm(str(path))
+            read_raster(str(path))
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x01")
         with pytest.raises(NetpbmError, match="truncated"):
-            read_ppm(str(path))
+            read_raster(str(path))
 
     def test_read_raster_replicates_gray(self, tmp_path):
         path = tmp_path / "g.pgm"

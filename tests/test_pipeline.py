@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from oracles import fuse_row
+from oracles import fuse_row, slice_all
 from scenefuse import pipeline
 from scenefuse.engine import forward_to_pool5, gap
 from scenefuse.experiment import FeatureConfig, config_matrix
@@ -14,7 +14,7 @@ from scenefuse.pipeline import (
     FEATURE_DIM, POOL_OPS, SOURCES, Backend, extract_base_features, fuse_matrix,
     resize_to_working,
 )
-from scenefuse.slicing import render_slice, slice_all
+from scenefuse.slicing import render_slice
 from scenefuse.synthetic import stub_spec
 from scenefuse.weights import ConvEntry, WeightBundle, random_bundle
 
@@ -353,3 +353,14 @@ class TestFuseMatrix:
             for i in range(5):
                 row = fuse_row(*(base[s][i] for s in SOURCES), op)
                 assert np.array_equal(fused[i], row), op
+
+    def test_whole_matrix_equals_one_row_at_a_time(self, rng):
+        # extract fuses a dataset's matrix in one call; its rows must be the
+        # bits of fusing each image's row alone
+        base = {s: np.abs(rng.normal(0, 2, (37, FEATURE_DIM))).astype(np.float32)
+                for s in SOURCES}
+        for op in POOL_OPS:
+            rows = [fuse_matrix({s: m[i : i + 1] for s, m in base.items()}, op)
+                    for i in range(37)]
+            assert np.array_equal(fuse_matrix(base, op).view(np.uint32),
+                                  np.concatenate(rows).view(np.uint32)), op

@@ -4,10 +4,10 @@ import pytest
 from scenefuse.resize import bilinear_resize
 from scenefuse.slicing import (
     TECHNIQUES, all_masks, circ_slices, ldiag_slices, rdiag_slices,
-    rect_slices, render_slice, slice_all, tri_slices,
+    rect_slices, render_slice, tri_slices,
 )
 
-from oracles import bilinear_resize_gather
+from oracles import bilinear_resize_gather, slice_all
 
 PARTITION_TECHNIQUES = {
     "rect": rect_slices,
