@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench", help="time optimized conv2d (im2col + sgemm over blocks of output rows, "
-        "~4 MiB of columns each) against the direct reference")
+        "~4 MiB of columns each) against the direct reference, and one rect/circ pair "
+        "and one tri slice through the delta forwards against full VGG16 forwards")
     p.add_argument("--channels-in", type=int, default=64)
     p.add_argument("--height", type=int, default=224)
     p.add_argument("--width", type=int, default=224)
@@ -387,24 +388,23 @@ def cmd_experiment(args) -> int:
     from .datasets import load_split, scan_dataset
     from .experiment import (FeatureConfig, default_configs, format_table,
                              run_experiment)
-    from .pipeline import SOURCES
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
     folds = _require_folds(args)
     protocol = _build_protocol(args)
-    object_backend, scene_backend = _load_backends(args, SOURCES)
-    manifest = scan_dataset(args.dataset)
-    plan = None
-    if args.split_file:
-        plan = load_split(_require_file(args.split_file, "--split-file"), manifest)
-
-    # full ablation by default; a single-type run when narrowed down
+    # full ablation by default; a single-type run loads only the trunk it needs
     if args.feature_type in ("op", "ow", "sp", "sw"):
         configs = (FeatureConfig(args.feature_type),)
     else:
         configs = default_configs()
+    object_backend, scene_backend = _load_backends(
+        args, {source for config in configs for source in config.sources})
+    manifest = scan_dataset(args.dataset)
+    plan = None
+    if args.split_file:
+        plan = load_split(_require_file(args.split_file, "--split-file"), manifest)
 
     os.makedirs(out_dir, exist_ok=True)
     report = run_experiment(
@@ -438,15 +438,19 @@ def cmd_validate_weights(args) -> int:
 
 def cmd_bench(args) -> int:
     from .engine import benchmark_conv2d
+    from .pipeline import benchmark_delta_forwards
 
     result = benchmark_conv2d(
         channels_in=args.channels_in, height=args.height, width=args.width,
         channels_out=args.channels_out, repeats=args.repeats, seed=int(args.seed),
     )
+    delta = result["delta_forwards"] = benchmark_delta_forwards(seed=int(args.seed))
     print(json.dumps(result, indent=2, sort_keys=True))
     print(f"optimized {result['optimized_seconds'] * 1000:.1f} ms vs naive "
           f"{result['naive_seconds'] * 1000:.1f} ms: {result['speedup']:.1f}x",
           file=sys.stderr)
+    print(f"delta/full VGG16 forwards: rect/circ pair {delta['pair_ratio']:.2f}, tri slice "
+          f"{delta['tri_ratio']:.2f}, bit-identical {delta['bit_identical']}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -192,19 +192,27 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
     """Restore a plan from JSON, resolving paths back to class indices.
 
     This is how an externally supplied (e.g. official) split list is fed
-    into the harness.
+    into the harness. A file not in `save_split`'s layout raises DatasetError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: not a JSON split file: {exc}") from None
+    repetitions = doc.get("repetitions") if isinstance(doc, dict) else None
+    if not isinstance(repetitions, list) or type(doc.get("seed", 0)) is not int or not all(
+            isinstance(rep, dict) and all(isinstance(rep.get(part), dict) and all(
+                isinstance(listed, list) and all(isinstance(p, str) for p in listed)
+                for listed in rep[part].values()) for part in ("train", "test"))
+            for rep in repetitions):
+        raise DatasetError(f"{path}: not a split file: needs a 'repetitions' list of "
+                           "'train' and 'test' objects mapping class names to path lists")
     position = {
         class_name: {p: i for i, p in enumerate(paths)}
         for class_name, paths in manifest.classes
     }
     reps = []
-    for rep in doc["repetitions"]:
+    for rep in repetitions:
         per_class = []
         for class_name, _ in manifest.classes:
             entry = []
@@ -220,4 +228,4 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
             per_class.append((entry[0], entry[1]))
         reps.append(tuple(per_class))
     return SplitPlan(dataset=doc.get("dataset", manifest.name),
-                     seed=int(doc.get("seed", 0)), repetitions=tuple(reps))
+                     seed=doc.get("seed", 0), repetitions=tuple(reps))

@@ -13,6 +13,11 @@ reads activations. Three design rules hold throughout:
   convolution with its output loops vectorised by numpy, one multiply-add
   per input tap. It also serves as the baseline of the built-in benchmark.
 
+Delta forwards (`forward_pair_to_pool5`, `forward_delta_to_pool5`) compute an
+image only where it can differ from a reference forward. They are bit-identical
+to full forwards: sgemm rounds a column the same whatever the other columns
+are, except in the gemvs and small GEMMs (`_SMALL_GEMM`) that they never issue.
+
 The engine knows nothing about files; weight storage lives in
 :mod:`scenefuse.weights`.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +35,13 @@ MAXPOOL2 = "maxpool2"
 
 # bytes of im2col columns per block of output rows in `conv2d`: about one L2 cache
 _BLOCK_BYTES = 4 << 20
+# output rows per block of a delta conv: few, so its column span hugs the changed set
+_DELTA_ROWS = 4
+# M*N*K at or below which OpenBLAS sgemm takes its small-matrix kernels
+_SMALL_GEMM = 1_000_000
+# multiply-adds per conv output, 9 * C_in, below which patches cost more than
+# they skip: 27 for VGG16's first conv, 27 and 72 for the stub trunks' convs
+_DELTA_MIN_MADDS = 128
 
 
 def _as_f32(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -76,26 +89,36 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    flat = kernel.reshape(c_out, c_in * 9)
     rows = max(1, min(h, _BLOCK_BYTES // max(1, c_in * 9 * w * 4)))
-    buf = np.empty(c_in * 9 * rows * w, dtype=np.float32)
+    out = np.empty((c_out, h * w), dtype=np.float32)
+    blocks = [(r0, min(rows, h - r0), 0, w) for r0 in range(0, h, rows)]
+    _conv_blocks(x, kernel, blocks, rows, [out[:, r0 * w : (r0 + n) * w]
+                                           for r0, n, _, _ in blocks])
+    out += bias[:, None]
+    return out.reshape(c_out, h, w)
+
+
+def _conv_blocks(x, kernel, blocks, rows, targets) -> None:
+    """`conv2d`'s output less the bias over each (top, rows, left, columns) block,
+    top to bottom and at most `rows` rows, into its (C_out, rows * columns) target."""
+    c_in, h, w = x.shape
+    c_out, k = kernel.shape[0], 9 * c_in
+    flat = kernel.reshape(c_out, k)
+    buf = np.empty(k * rows * w, dtype=np.float32)
     # a block's input rows r0-1 .. r0+n, zero-bordered: the border columns
     # are never written, and row 0 is still zero when the first block reads it
     band = np.zeros((c_in, rows + 2, w + 2), dtype=np.float32)
-    out = np.empty((c_out, h * w), dtype=np.float32)
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
+    for (r0, n, c0, span), target in zip(blocks, targets):
         lo, hi = max(r0 - 1, 0), min(r0 + n + 1, h)
-        band[:, lo - r0 + 1 : hi - r0 + 1, 1 : w + 1] = x[:, lo:hi]
+        left, right = max(c0 - 1, 0), min(c0 + span + 1, w)
+        band[:, lo - r0 + 1 : hi - r0 + 1, left + 1 : right + 1] = x[:, lo:hi, left:right]
         if r0 + n == h:
             band[:, n + 1] = 0.0  # the pad row below the last input row
-        cols = buf[: c_in * 9 * n * w].reshape(c_in, 3, 3, n, w)
+        cols = buf[: k * n * span].reshape(c_in, 3, 3, n, span)
         for dy in range(3):
             for dx in range(3):
-                cols[:, dy, dx] = band[:, dy : dy + n, dx : dx + w]
-        np.matmul(flat, cols.reshape(c_in * 9, n * w), out=out[:, r0 * w : (r0 + n) * w])
-    out += bias[:, None]
-    return out.reshape(c_out, h, w)
+                cols[:, dy, dx] = band[:, dy : dy + n, c0 + dx : c0 + dx + span]
+        np.matmul(flat, cols.reshape(k, n * span), out=target)
 
 
 def conv2d_naive(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -138,8 +161,12 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    rows = np.maximum(x[:, 0::2, :], x[:, 1::2, :])
-    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
+    out = np.empty((c, h // 2, w // 2), dtype=np.float32)
+    step = max(1, (1 << 20) // (2 * h * w))  # channels whose row maxima take 1 MiB
+    for c0 in range(0, c, step):
+        rows = np.maximum(x[c0 : c0 + step, 0::2, :], x[c0 : c0 + step, 1::2, :])
+        np.maximum(rows[:, :, 0::2], rows[:, :, 1::2], out=out[c0 : c0 + step])
+    return out
 
 
 def gap(x: np.ndarray) -> np.ndarray:
@@ -207,12 +234,13 @@ class NetworkSpec:
 _VGG16_BLOCKS = ((64, 64), (128, 128), (256, 256, 256), (512, 512, 512), (512, 512, 512))
 
 
+@lru_cache(maxsize=1)
 def vgg16_spec() -> NetworkSpec:
     """The canonical trunk: VGG16's 13 conv layers and 5 pools, no classifier head.
 
     Blocks (64,64)P(128,128)P(256,256,256)P(512,512,512)P(512,512,512)P,
     every conv 3x3 / stride 1 / pad 1 / followed by ReLU. A 3x224x224 input
-    comes out as 512x7x7 after the fifth pool.
+    comes out as 512x7x7 after the fifth pool. Built once, as it is immutable.
     """
     layers: list[LayerSpec] = []
     in_ch = 3
@@ -273,33 +301,155 @@ def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray
     additionally insists on a 224x224 input, which is what the
     preprocessing stage produces.
     """
-    validate_bundle(spec, bundle)
-    x = _as_f32(image, "image", 3)
-    if x.shape[0] != spec.input_channels:
-        raise ValueError(
-            f"image has {x.shape[0]} channels, spec expects {spec.input_channels}"
-        )
-    divisor = 2 ** spec.pool_count
-    if x.shape[1] % divisor or x.shape[2] % divisor:
-        raise ValueError(
-            f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by {divisor} "
-            f"({spec.pool_count} pooling layers)"
-        )
-    if spec == vgg16_spec() and x.shape[1:] != (224, 224):
-        raise ValueError(f"canonical trunk expects 224x224 input, got {x.shape[1:]}")
+    entries, x = _checked(spec, bundle, image)
+    return _forward(entries, x)
 
-    conv_idx = 0
-    for layer in spec.layers:
-        if layer.kind == CONV3X3:
-            entry = bundle.entries[conv_idx]
-            x = conv2d(x, entry.kernel, entry.bias)
-            np.maximum(x, np.float32(0.0), out=x)
-            conv_idx += 1
-        else:
-            x = maxpool2(x)
+
+def _checked(spec: NetworkSpec, bundle, *images) -> tuple:
+    """Each layer's conv entry (None for a pool), then the checked float32 images."""
+    validate_bundle(spec, bundle)
+    xs = [_as_f32(image, "image", 3) for image in images]
+    divisor = 2 ** spec.pool_count
+    for x in xs:
+        if x.shape[0] != spec.input_channels:
+            raise ValueError(f"image has {x.shape[0]} channels, spec expects "
+                             f"{spec.input_channels}")
+        if x.shape[1] % divisor or x.shape[2] % divisor:
+            raise ValueError(f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by "
+                             f"{divisor} ({spec.pool_count} pooling layers)")
+        if spec == vgg16_spec() and x.shape[1:] != (224, 224):
+            raise ValueError(f"canonical trunk expects 224x224 input, got {x.shape[1:]}")
+    entries = iter(bundle.entries)
+    return [next(entries) if layer.kind == CONV3X3 else None for layer in spec.layers], *xs
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite activations after forward pass")
     return x
+
+
+def _run(entry, x: np.ndarray) -> np.ndarray:
+    if entry is None:
+        return maxpool2(x)
+    x = conv2d(x, entry.kernel, entry.bias)
+    return np.maximum(x, np.float32(0.0), out=x)  # the ReLU, in place
+
+
+def _forward(entries, x: np.ndarray) -> np.ndarray:
+    for entry in entries:
+        x = _run(entry, x)
+    return _finite(x)
+
+
+def _conv_patches(x: np.ndarray, entry, changed: np.ndarray) -> list:
+    """ReLU'd `conv2d` output as (top, left, values) patches: each row block's changed
+    columns, widened while their GEMM would be small, or the whole layer if cheaper."""
+    c_in, h, w = x.shape
+    c_out, k, rows = len(entry.bias), 9 * c_in, _DELTA_ROWS
+    # is one row's GEMM, the smallest here or in conv2d, regular?
+    regular = k >= _DELTA_MIN_MADDS and min(c_out, w) > 1 and c_out * w * k > _SMALL_GEMM
+    spans = []
+    for r0 in range(0, h, rows) if regular else ():
+        n = min(rows, h - r0)
+        hit = np.flatnonzero(changed[r0 : r0 + n].any(axis=0))
+        if hit.size:
+            span = min(w, max(int(hit[-1] - hit[0]) + 1, _SMALL_GEMM // (c_out * n * k) + 1, 2))
+            spans.append((r0, n, min(int(hit[0]), w - span), span))
+    if not regular or sum(n * span for _, n, _, span in spans) == h * w:
+        return [(0, 0, _run(entry, x))] if changed.any() else []
+    sizes = np.cumsum([0] + [c_out * n * span for _, n, _, span in spans])
+    store = np.empty(sizes[-1], dtype=np.float32)  # the patches, one after another
+    values = [store[a:b].reshape(c_out, -1) for a, b in zip(sizes, sizes[1:])]
+    _conv_blocks(x, entry.kernel, spans, rows, values)
+    for v in values:
+        v += entry.bias[:, None]
+    np.maximum(store, np.float32(0.0), out=store)
+    return [(r0, c0, v.reshape(c_out, n, span)) for (r0, n, c0, span), v in zip(spans, values)]
+
+
+def _delta_forward(entries, y: np.ndarray, changed: np.ndarray, reference) -> np.ndarray:
+    """`y`'s forward where it can differ from a reference's (`changed` marks where
+    the inputs differ). `reference(i, need)` runs it through layer i and, if
+    `need`, returns its output afresh for `y`'s patches, computed before it."""
+    for i, entry in enumerate(entries):
+        if entry is None:
+            reference(i, False)
+            y, changed = maxpool2(y), maxpool2(changed[None])[0] > 0  # windows meeting it
+            continue
+        grown = np.pad(changed, 1)  # the pixels whose 3x3 neighbourhood meets it
+        grown = grown[:-2] | grown[1:-1] | grown[2:]
+        changed = grown[:, :-2] | grown[:, 1:-1] | grown[:, 2:]
+        patches = _conv_patches(y, entry, changed)
+        del y
+        whole = bool(patches) and patches[0][2].shape[1:] == changed.shape
+        y = reference(i, not whole)  # y's input is dropped: never a third full map
+        y = patches[0][2] if whole else _paste(y, patches)
+        del patches  # before the next layer's reference runs
+    return _finite(y)
+
+
+def _paste(y: np.ndarray, patches) -> np.ndarray:
+    for top, left, values in patches:
+        y[:, top : top + values.shape[1], left : left + values.shape[2]] = values
+    return y
+
+
+def forward_pair_to_pool5(spec: NetworkSpec, bundle, reference: np.ndarray,
+                          twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two images through one trunk in lockstep: the twin as a delta over the
+    reference, so it costs what it changes (a circ slice 22% of its rect)."""
+    entries, x, y = _checked(spec, bundle, reference, twin)
+    if all(9 * layer.in_channels < _DELTA_MIN_MADDS for layer in spec.conv_layers):
+        return _forward(entries, x), _forward(entries, y)
+    state = [x]
+
+    def advance(i, need):
+        state[0] = _run(entries[i], state[0])
+        return state[0].copy() if need else None
+
+    twin_out = _delta_forward(entries, y, np.any(x != y, axis=0), advance)
+    return _finite(state[0]), twin_out
+
+
+def zero_reference(spec: NetworkSpec, bundle, shape) -> tuple:
+    """(shape, frames): an all-zero input's forward. Pixels `band` or more from
+    every edge are equal (`band` grows by one per conv, halves per pool), so a
+    conv keeps its first `band` + 1 and last `band` rows and columns: 1.8 MB."""
+    (entries, x), band, frames = _checked(spec, bundle, np.zeros(shape, np.float32)), 0, []
+    for entry in entries:
+        x = _run(entry, x)
+        band = -(-band // 2) if entry is None else band + 1
+        bands = [min(band, n // 2) for n in x.shape[1:]]  # rows, columns
+        kept = [np.r_[0 : b + 1, n - b : n] for b, n in zip(bands, x.shape[1:])]
+        frames.append(None if entry is None
+                      else (x[:, kept[0]][:, :, kept[1]], bands, x.shape[1:]))
+    return tuple(shape), frames
+
+
+def _unframe(frame) -> np.ndarray:
+    """A `zero_reference` frame in full, as a fresh array."""
+    kept, bands, size = frame
+    out = np.empty((len(kept), *size), dtype=np.float32)
+    thirds = [((slice(0, b), slice(0, b)), (slice(b, n - b), slice(b, b + 1)),
+               (slice(n - b, n), slice(b + 1, None))) for b, n in zip(bands, size)]
+    for rows, kept_rows in thirds[0]:
+        for cols, kept_cols in thirds[1]:
+            out[:, rows, cols] = kept[:, kept_rows, kept_cols]
+    return out
+
+
+def forward_delta_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray,
+                           zero: tuple) -> np.ndarray:
+    """`forward_to_pool5` of an image zero on much of its area (a slice rendered
+    with fill 0), as a delta over the trunk's `zero_reference` for its shape."""
+    (entries, x), (shape, frames) = _checked(spec, bundle, image), zero
+    if x.shape != shape or len(frames) != len(spec.layers):
+        raise ValueError(f"zero reference of {shape} does not fit input {x.shape}")
+    if all(9 * layer.in_channels < _DELTA_MIN_MADDS for layer in spec.conv_layers):
+        return _forward(entries, x)
+    return _delta_forward(entries, x, np.any(x != 0, axis=0),
+                          lambda i, need: _unframe(frames[i]) if need else None)
 
 
 # ---------------------------------------------------------------------------

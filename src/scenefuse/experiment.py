@@ -113,16 +113,15 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def pair_digest(object_backend: Backend, scene_backend: Backend) -> str:
-    """Content hash of both weight bundles; keys the feature caches."""
+def backend_digest(backend: Backend) -> str:
+    """Content hash of one backend's kind and weight bundle; keys its sources' caches."""
     h = hashlib.sha256()
-    for backend in (object_backend, scene_backend):
-        h.update(backend.kind.encode())
-        h.update(np.ascontiguousarray(backend.weights.means, dtype="<f4"))
-        for entry in backend.weights.entries:
-            h.update(entry.name.encode())
-            h.update(np.ascontiguousarray(entry.kernel, dtype="<f4"))
-            h.update(np.ascontiguousarray(entry.bias, dtype="<f4"))
+    h.update(backend.kind.encode())
+    h.update(np.ascontiguousarray(backend.weights.means, dtype="<f4"))
+    for entry in backend.weights.entries:
+        h.update(entry.name.encode())
+        h.update(np.ascontiguousarray(entry.kernel, dtype="<f4"))
+        h.update(np.ascontiguousarray(entry.bias, dtype="<f4"))
     return h.hexdigest()[:16]
 
 
@@ -130,16 +129,15 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
     return os.path.join(cache_dir, f"{dataset}_{source}_{digest}.hdfc")
 
 
-def _try_load_base(cache_dir, dataset, digest, paths, labels):
+def _try_load_base(cache_paths, paths, labels):
     mats = {}
-    for source in SOURCES:
-        path = _cache_path(cache_dir, dataset, source, digest)
+    for source, path in cache_paths.items():
         if not os.path.isfile(path):
             return None
         cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
         if cached_paths != paths or not np.array_equal(cached_labels, labels):
             return None
-    logger.info("loaded cached base features from %s", cache_dir)
+    logger.info("loaded cached base features: %s", ", ".join(cache_paths.values()))
     return mats
 
 
@@ -171,35 +169,39 @@ def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backen
 
 def compute_base_features(
     manifest: DatasetManifest,
-    object_backend: Backend,
-    scene_backend: Backend,
+    object_backend: Backend | None,
+    scene_backend: Backend | None,
     cache_dir: str | None = None,
+    sources=SOURCES,
 ):
-    """Per-image op/ow/sp/sw matrices for a whole dataset.
+    """Per-image base-descriptor matrices for a whole dataset.
 
-    Returns (matrices, labels, paths) with matrices mapping each source to
-    an (N, 512) float32 array in manifest order. When `cache_dir` is given,
+    Returns (matrices, labels, paths) with matrices mapping each of
+    `sources` to an (N, 512) float32 array in manifest order; a backend
+    none of whose sources is requested may be None. When `cache_dir` is
+    given, each source's cache is keyed by its own backend's digest;
     matching caches are reused and fresh results are written back. Images
     that cannot be read raise one DatasetError naming them all, before any
     cache is written.
     """
     paths, labels = manifest.flat_paths_labels()
+    sources = [s for s in SOURCES if s in sources]
     if cache_dir:
-        digest = pair_digest(object_backend, scene_backend)
-        cached = _try_load_base(cache_dir, manifest.name, digest, paths, labels)
+        cache_paths = {s: _cache_path(cache_dir, manifest.name, s, backend_digest(
+            object_backend if s in ("op", "ow") else scene_backend)) for s in sources}
+        cached = _try_load_base(cache_paths, paths, labels)
         if cached is not None:
             return cached, labels, paths
 
-    mats, failed = extract_dataset(paths, object_backend, scene_backend)
+    mats, failed = extract_dataset(paths, object_backend, scene_backend, sources)
     if failed:
         raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
                            + "; ".join(message for _, message in failed))
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        for source in SOURCES:
-            save_cache(_cache_path(cache_dir, manifest.name, source, digest),
-                       labels, paths, mats[source])
+        for source, path in cache_paths.items():
+            save_cache(path, labels, paths, mats[source])
     return mats, labels, paths
 
 
@@ -244,8 +246,8 @@ def _flat_indices(manifest: DatasetManifest, per_class) -> tuple[np.ndarray, np.
 
 def run_experiment(
     manifest: DatasetManifest,
-    object_backend: Backend,
-    scene_backend: Backend,
+    object_backend: Backend | None,
+    scene_backend: Backend | None,
     protocol: SplitProtocol,
     configs: tuple[FeatureConfig, ...] | None = None,
     folds: int = 5,
@@ -256,14 +258,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full ablation; deterministic in (dataset, protocol, backends).
 
-    If `out_path` is given the report JSON is written there, including a
-    partial report (complete=false) when a configuration fails mid-run.
+    Only the base descriptors the configurations use are extracted, so a
+    backend none of them needs may be None. If `out_path` is given the
+    report JSON is written there, including a partial report
+    (complete=false) when a configuration fails mid-run.
     """
     configs = default_configs() if configs is None else tuple(configs)
     if plan is None:
         plan = make_split(manifest, protocol)
     base, labels, _ = compute_base_features(
-        manifest, object_backend, scene_backend, cache_dir
+        manifest, object_backend, scene_backend, cache_dir,
+        {source for config in configs for source in config.sources}
     )
 
     protocol_doc = {

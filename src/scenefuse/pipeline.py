@@ -8,21 +8,26 @@ object-centric trunk and a scene-centric trunk sharing one architecture):
 
 Each descriptor is the global average pooling of the trunk's fifth-pool
 output, 512 values. :func:`extract_base_features` computes the requested
-ones for one image. :func:`fuse_matrix` pools the four row-wise (elementwise
-max/mean/min keep 512 dims, concatenation yields 2048) and scales each row
-to unit Euclidean norm; a single image is a one-row matrix.
+ones for one image; 32 of its 40 part-level forwards are bit-identical
+delta forwards (see :mod:`scenefuse.engine`). :func:`fuse_matrix` pools
+the four row-wise (elementwise max/mean/min keep 512 dims, concatenation
+yields 2048) and scales each row to unit Euclidean norm; a single image is
+a one-row matrix.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .engine import NetworkSpec, forward_to_pool5, gap, validate_bundle
+from .engine import (NetworkSpec, forward_delta_to_pool5, forward_pair_to_pool5,
+                     forward_to_pool5, gap, validate_bundle, vgg16_spec, zero_reference)
 from .resize import bilinear_resize
 from .slicing import WORKING_SIZE, all_masks, render_slice
-from .weights import WeightBundle
+from .weights import WeightBundle, random_bundle
 
 FEATURE_DIM = 512
 SOURCES = ("op", "ow", "sp", "sw")
@@ -49,12 +54,16 @@ class Backend:
     def means(self) -> np.ndarray:
         return np.asarray(self.weights.means, dtype=np.float32)
 
+    @cached_property
+    def zero_reference(self) -> tuple:
+        """The trunk's all-zero forward, computed once: the tri and diagonal slices' reference."""
+        return zero_reference(self.spec, self.weights, (3, WORKING_SIZE, WORKING_SIZE))
+
 
 def resize_to_working(raster: np.ndarray) -> np.ndarray:
     """Bilinear-resize an (H, W, 3) raster to the channel-major working image.
 
-    Stays in pixel-intensity units; mean subtraction happens later so that
-    slicing geometry operates on plain pixels.
+    Stays in pixel-intensity units; each trunk's means are subtracted later.
     """
     raster = np.asarray(raster, dtype=np.float32)
     if raster.ndim != 3 or raster.shape[2] != 3:
@@ -76,12 +85,11 @@ def extract_base_features(
     Only the sources named in `sources` are computed; a backend none of
     whose sources is requested may be None. The raster is resized once.
     Part-level sources are the mean of the 20 per-slice descriptors; slices
-    are cut from the working image with masked pixels filled with the
-    backend means, so they vanish after mean subtraction. The slices are
-    streamed: each mask is rendered once per distinct fill colour (backends
-    with equal means share it) and run through every requested part-level
-    trunk before the next mask is rendered, so only the 512-float
-    descriptors are kept, never the 20 rendered slices.
+    are cut from the working image minus the backend means, with masked
+    pixels filled with 0. Each mask is rendered once per distinct means and
+    run through every requested part-level trunk before the next. Rect
+    quadrant k and circ sector k run as one pair forward, tri and diagonal
+    slices as delta forwards over the backend's zero reference.
     """
     backends = {"op": object_backend, "ow": object_backend,
                 "sp": scene_backend, "sw": scene_backend}
@@ -93,31 +101,56 @@ def extract_base_features(
     if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise ValueError("object and scene backends must share one network spec")
 
-    working = resize_to_working(raster)
-
-    def descriptor(source, view):
-        backend = backends[source]
-        return gap(forward_to_pool5(backend.spec, backend.weights,
-                                    view - backend.means[:, None, None]))
-
-    vectors = {source: [] for source in sources}
     part = [s for s in ("op", "sp") if s in sources]
-    for mask in all_masks(WORKING_SIZE):
-        # a slice depends on the working image and fill colour only: backends
-        # with equal means share one render, and it is dropped after this mask
-        renders = {}
+    # before this image's arrays: among them, glibc went on to trim the heap per image
+    zeros = {source: backends[source].zero_reference for source in part}
+    working = resize_to_working(raster)
+    masks = all_masks(WORKING_SIZE)
+    circ = {m.index: j for j, m in enumerate(masks) if m.technique == "circ"}
+    vectors = {source: [None] * len(masks) for source in part}
+    for i, mask in enumerate(masks):
+        if mask.technique == "circ":
+            continue  # runs with its rect twin
+        slots = (i, circ[mask.index]) if mask.technique == "rect" else (i,)
+        key = None  # backends with equal means share the renders
         for source in part:
-            fill = backends[source].means
-            key = tuple(float(m) for m in fill)
-            if key not in renders:
-                renders[key] = render_slice(working, mask, fill).pixels
-            vectors[source].append(descriptor(source, renders[key]))
+            backend = backends[source]
+            if key != tuple(backend.means.tolist()):
+                key, renders = tuple(backend.means.tolist()), None
+                renders = [render_slice(working - backend.means[:, None, None], masks[j],
+                                        np.zeros(3, np.float32)).pixels for j in slots]
+            args = backend.spec, backend.weights
+            outs = (forward_pair_to_pool5(*args, *renders) if len(slots) == 2 else
+                    [forward_delta_to_pool5(*args, renders[0], zeros[source])])
+            for j, out in zip(slots, outs):
+                vectors[source][j] = gap(out)
     for source in [s for s in ("ow", "sw") if s in sources]:
-        vectors[source].append(descriptor(source, working))
+        backend = backends[source]
+        vectors[source] = [gap(forward_to_pool5(backend.spec, backend.weights,
+                                                working - backend.means[:, None, None]))]
     # fixed view order keeps the reduction bit-deterministic; the mean of
     # the one whole-image row is that row exactly
     return {source: np.stack(vectors[source]).mean(axis=0, dtype=np.float32)
             for source in SOURCES if source in sources}
+
+
+def benchmark_delta_forwards(seed: int = 0) -> dict:
+    """Seconds of one rect/circ pair and one tri slice of a random working image
+    through the delta and the full forwards of a random VGG16 bundle."""
+    backend = Backend("object", vgg16_spec(), random_bundle(vgg16_spec(), seed=seed))
+    image = np.random.default_rng(seed).uniform(-128, 128, (3, WORKING_SIZE, WORKING_SIZE))
+    rect, tri, circ = (render_slice(image.astype(np.float32), all_masks(WORKING_SIZE)[j],
+                                    np.zeros(3, np.float32)).pixels for j in (0, 4, 8))
+    outs, times = [], []
+    for fn, *views in ((forward_pair_to_pool5, rect, circ),
+                       (forward_delta_to_pool5, tri, backend.zero_reference),
+                       *((forward_to_pool5, view) for view in (rect, circ, tri))):
+        t0 = time.perf_counter()
+        outs.append(fn(backend.spec, backend.weights, *views))
+        times.append(time.perf_counter() - t0)
+    return {"pair_seconds": times[0], "pair_ratio": times[0] / (times[2] + times[3]),
+            "tri_seconds": times[1], "tri_ratio": times[1] / times[4],
+            "bit_identical": all(map(np.array_equal, (*outs[0], outs[1]), outs[2:]))}
 
 
 def fuse_matrix(parts: dict[str, np.ndarray], pool_op: str) -> np.ndarray:

@@ -13,6 +13,20 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def watch_forwards(monkeypatch, on_call):
+    """Call `on_call(views)` on every trunk call extraction makes: `views` is
+    1 for a full or delta forward and 2 for a rect/circ pair forward."""
+    from scenefuse import engine, pipeline
+
+    for name, views in (("forward_to_pool5", 1), ("forward_delta_to_pool5", 1),
+                        ("forward_pair_to_pool5", 2)):
+        def watched(*args, _fn=getattr(engine, name), _views=views):
+            on_call(_views)
+            return _fn(*args)
+
+        monkeypatch.setattr(pipeline, name, watched)
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import watch_forwards
 from scenefuse import cli
 from scenefuse.cache import load_cache
-from scenefuse.engine import forward_to_pool5
 from scenefuse.imageio import write_ppm
 from scenefuse.weights import save_weights
 
@@ -92,15 +92,8 @@ class TestExtract:
     def test_forwards_only_for_the_requested_source(self, feature_type, per_image,
                                                      tiny_dataset, weight_files,
                                                      tmp_path, monkeypatch):
-        from scenefuse import pipeline
-
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return forward_to_pool5(*args)
-
-        monkeypatch.setattr(pipeline, "forward_to_pool5", counting)
+        calls = []  # views per trunk call; a rect/circ pair counts as 2
+        watch_forwards(monkeypatch, calls.append)
         root, manifest = tiny_dataset
         obj_w, _ = weight_files
         rc = cli.main([
@@ -108,7 +101,7 @@ class TestExtract:
             "--feature-type", feature_type, "--out", str(tmp_path / "f"),
         ])
         assert rc == 0
-        assert len(calls) == per_image * manifest.total_images
+        assert sum(calls) == per_image * manifest.total_images
 
     def test_repeat_invocation_bit_identical(self, tiny_dataset, weight_files,
                                              tmp_path):
@@ -192,6 +185,25 @@ class TestExperiment:
         text = capsys.readouterr().out
         for row in ("Max", "Mean", "Min", "Concat"):
             assert row in text
+
+    def test_single_type_needs_only_its_own_weights(self, tiny_dataset, weight_files,
+                                                    tmp_path, monkeypatch):
+        root, manifest = tiny_dataset
+        obj_w, _ = weight_files
+        out = tmp_path / "exp"
+        views = []
+        watch_forwards(monkeypatch, views.append)
+        rc = cli.main([
+            "experiment", "--dataset", str(root), "--object-weights", obj_w,
+            "--feature-type", "ow", "--protocol", "custom", "--train-per-class", "4",
+            "--test-per-class", "2", "--repetitions", "1", "--folds", "2",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert sum(views) == manifest.total_images  # one forward per image
+        doc = json.loads((out / "report.json").read_text())
+        assert [c["name"] for c in doc["configurations"]] == ["OW"]
+        assert [p.name.split("_")[1] for p in (out / "cache").glob("*.hdfc")] == ["ow"]
 
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
@@ -345,6 +357,9 @@ class TestBenchAndConfig:
         doc = json.loads(capsys.readouterr().out)
         assert doc["speedup"] > 0
         assert doc["max_relative_deviation"] <= 1e-5
+        delta = doc["delta_forwards"]
+        assert delta["bit_identical"] is True
+        assert delta["pair_ratio"] > 0 and delta["tri_ratio"] > 0
 
     def test_config_file_supplies_values(self, sample_image, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -489,6 +504,21 @@ class TestExtractFailures:
         split.write_text("{not json")
         args = experiment_args(tiny_dataset, weight_files, tmp_path / "exp")
         assert cli.main(args + ["--split-file", str(split)]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("doc", [
+        '{}',
+        '{"repetitions": [{"train": 5}]}',
+        '[]',
+        '{"repetitions": [{"train": {}, "test": []}]}',
+        '{"repetitions": [{"train": {"class_00": "img.ppm"}, "test": {}}]}',
+    ])
+    def test_split_file_of_wrong_shape_is_data_error(self, doc, tiny_dataset, weight_files,
+                                                     tmp_path, capsys):
+        split = tmp_path / "split.json"
+        split.write_text(doc)
+        args = experiment_args(tiny_dataset, weight_files, tmp_path / "exp")
+        assert cli.main(args + ["--split-file", str(split)]) == cli.EXIT_DATA
+        assert f"data error: {split}: not a split file" in capsys.readouterr().err
 
     def test_unreadable_slice_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ppm"

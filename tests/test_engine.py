@@ -7,9 +7,13 @@ from conftest import traced_peak
 from scenefuse import engine
 from scenefuse.engine import (
     CONV3X3, MAXPOOL2, LayerSpec, NetworkSpec, conv2d, conv2d_naive,
-    forward_to_pool5, gap, maxpool2, vgg16_spec,
+    forward_delta_to_pool5, forward_pair_to_pool5, forward_to_pool5, gap, maxpool2,
+    vgg16_spec, zero_reference,
 )
-from scenefuse.weights import random_bundle
+from scenefuse.pipeline import resize_to_working
+from scenefuse.slicing import all_masks, render_slice
+from scenefuse.synthetic import stub_spec
+from scenefuse.weights import ConvEntry, WeightBundle, random_bundle
 
 from oracles import (
     conv2d_loops, conv2d_loops_f32, conv2d_padded, gap_flat_sum, maxpool2_windows,
@@ -274,3 +278,259 @@ class TestForward:
         bundle = random_bundle(spec, seed=0)
         with pytest.raises(ValueError, match="divisible"):
             forward_to_pool5(spec, bundle, np.zeros((3, 7, 8), dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# Delta forwards
+# ---------------------------------------------------------------------------
+
+def region(size, rects):
+    """A bool (size, size) mask: the union of (top, left, height, width) rectangles."""
+    mask = np.zeros((size, size), dtype=bool)
+    for top, left, height, width in rects:
+        mask[top : top + height, left : left + width] = True
+    return mask
+
+
+def rects(size):
+    corner = st.integers(0, size - 1)
+    return st.lists(st.tuples(corner, corner, st.integers(1, size), st.integers(1, size)),
+                    max_size=4)
+
+
+def differs_at(image, mask, seed):
+    """A copy of `image` that differs from it exactly on `mask`."""
+    twin = image.copy()
+    noise = np.random.default_rng(seed).uniform(1.0, 2.0, (3, int(mask.sum())))
+    twin[:, mask] += noise.astype(np.float32)
+    return twin
+
+
+def biased_bundle(spec, seed, **kwargs):
+    """A random bundle with nonzero biases: `random_bundle`'s are zero, which
+    would make an all-zero input's forward zero everywhere, edges included."""
+    bundle = random_bundle(spec, seed=seed, **kwargs)
+    rng = np.random.default_rng(seed)
+    return WeightBundle(entries=tuple(
+        ConvEntry(e.name, e.kernel, rng.uniform(-0.2, 0.5, e.bias.shape).astype(np.float32))
+        for e in bundle.entries), means=bundle.means)
+
+
+def mini_spec():
+    """A GEMM-bound trunk on 32x32 inputs: partial patches down to 8x8, and a
+    last conv at 4x4 whose zero-reference band covers the whole map."""
+    return NetworkSpec((
+        LayerSpec(CONV3X3, 3, 16), LayerSpec(CONV3X3, 16, 256), LayerSpec(MAXPOOL2),
+        LayerSpec(CONV3X3, 256, 128), LayerSpec(MAXPOOL2),
+        LayerSpec(CONV3X3, 128, 128), LayerSpec(MAXPOOL2),
+        LayerSpec(CONV3X3, 128, 64), LayerSpec(MAXPOOL2),
+    ))
+
+
+def count_gemm_work(monkeypatch):
+    """Record the multiply-adds, M*K*N, of every matmul the engine runs."""
+    work = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        work.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(engine.np, "matmul", counting)
+    return work
+
+
+EMPTY, FULL = [], [(0, 0, 224, 224)]
+ONE_PIXEL = [(117, 64, 1, 1)]
+BORDERS = [(0, 17, 1, 1), (223, 150, 1, 1), (90, 0, 1, 1), (41, 223, 1, 1)]
+CORNERS = [(0, 0, 1, 1), (0, 223, 1, 1), (223, 0, 1, 1), (223, 223, 1, 1)]
+DISJOINT = [(3, 5, 40, 30), (100, 120, 70, 90), (200, 10, 24, 60)]
+SPAN_1, SPAN_27 = [(5, 3, 9, 1)], [(5, 3, 9, 27)]
+
+
+@pytest.fixture(scope="module")
+def conv_layers():
+    """(x, kernel, bias, ReLU'd full output) at VGG16's conv1_1, conv1_2 and conv5
+    shapes, and conv5's channels on a 5x5 map, whose last block of rows is one row."""
+    layers = {}
+    for c_in, c_out, size in ((3, 64, 224), (64, 64, 224), (512, 512, 14), (512, 512, 5)):
+        r = np.random.default_rng(c_in)
+        x = f32(c_in, size, size, rng=r)
+        kernel = f32(c_out, c_in, 3, 3, rng=r, scale=1 / (3 * np.sqrt(c_in)))
+        bias = f32(c_out, rng=r)
+        full = np.maximum(conv2d(x, kernel, bias), np.float32(0.0))
+        layers[c_in, size] = x, kernel, bias, full
+    return layers
+
+
+class TestDeltaConv:
+    @pytest.mark.parametrize("layer", [(3, 224), (64, 224), (512, 14), (512, 5)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_patches_are_the_full_output(self, conv_layers, layer, data):
+        x, kernel, bias, full = conv_layers[layer]
+        size = x.shape[1]
+        clip = lambda rs: [(t % size, l % size, h, w) for t, l, h, w in rs]
+        cases = ([data.draw(rects(size))] if data is not None else
+                 [EMPTY, FULL, ONE_PIXEL, BORDERS, CORNERS, DISJOINT, SPAN_1, SPAN_27])
+        for case in cases:
+            changed = region(size, clip(case))
+            covered = np.zeros_like(changed)
+            patches = engine._conv_patches(x, ConvEntry("conv", kernel, bias), changed)
+            for top, left, values in patches:
+                rows, cols = slice(top, top + values.shape[1]), slice(left, left + values.shape[2])
+                assert np.array_equal(values, full[:, rows, cols]), case
+                covered[rows, cols] = True
+            assert not (changed & ~covered).any(), case
+            if not changed.any():
+                assert patches == []
+
+    def test_light_layer_runs_whole(self, conv_layers):
+        # conv1_1 has 27 multiply-adds per output: one patch from conv2d
+        x, kernel, bias, full = conv_layers[3, 224]
+        (top, left, values), = engine._conv_patches(x, ConvEntry("conv", kernel, bias),
+                                                    region(224, ONE_PIXEL))
+        assert (top, left) == (0, 0) and np.array_equal(values, full)
+
+    def test_narrow_spans_widen_only_to_a_regular_gemm(self, conv_layers):
+        # conv1_2: M*K = 64 * 576, so a 4-row block needs 7 columns to clear
+        # 10**6 multiply-adds; a 1-column span at the right edge shifts left
+        x, kernel, bias, _ = conv_layers[64, 224]
+        patches = engine._conv_patches(x, ConvEntry("conv", kernel, bias),
+                                       region(224, [(8, 223, 4, 1)]))
+        assert [(top, left, values.shape) for top, left, values in patches] == [
+            (8, 217, (64, 4, 7))]
+
+    def test_one_row_block_gets_two_columns(self, conv_layers):
+        # a 1 x 1 GEMM would be a gemv: the span widens to two columns
+        x, kernel, bias, _ = conv_layers[512, 5]
+        patches = engine._conv_patches(x, ConvEntry("conv", kernel, bias),
+                                       region(5, [(4, 4, 1, 1)]))
+        assert [(top, left, values.shape) for top, left, values in patches] == [
+            (4, 3, (512, 1, 2))]
+
+
+class TestDeltaForwards:
+    @settings(max_examples=30, deadline=None)
+    @given(rects=rects(32), seed=st.integers(0, 2 ** 32 - 1))
+    @example(rects=[], seed=0)
+    @example(rects=[(0, 0, 32, 32)], seed=1)
+    @example(rects=[(31, 31, 1, 1)], seed=2)
+    @example(rects=[(0, 5, 1, 1), (20, 0, 3, 1), (9, 17, 6, 8)], seed=3)
+    def test_match_full_forwards_on_a_mini_trunk(self, rects, seed):
+        spec = mini_spec()
+        bundle = biased_bundle(spec, seed=4)
+        mask = region(32, rects)
+        reference = f32(3, 32, 32, rng=np.random.default_rng(seed), scale=40.0)
+        twin = differs_at(reference, mask, seed)
+        sparse = differs_at(np.zeros_like(reference), mask, seed)
+        before = reference.copy(), twin.copy(), sparse.copy()
+        ref_out, twin_out = forward_pair_to_pool5(spec, bundle, reference, twin)
+        assert np.array_equal(ref_out, forward_to_pool5(spec, bundle, reference))
+        assert np.array_equal(twin_out, forward_to_pool5(spec, bundle, twin))
+        zero = zero_reference(spec, bundle, (3, 32, 32))
+        assert np.array_equal(forward_delta_to_pool5(spec, bundle, sparse, zero),
+                              forward_to_pool5(spec, bundle, sparse))
+        # the caller's images are untouched
+        for image, copy in zip((reference, twin, sparse), before):
+            assert np.array_equal(image, copy)
+
+    def test_zero_reference_frames_expand_to_the_zero_forward(self):
+        spec = mini_spec()
+        bundle = biased_bundle(spec, seed=4)
+        shape, frames = zero_reference(spec, bundle, (3, 32, 32))
+        x = np.zeros(shape, dtype=np.float32)
+        kept = []
+        for entry, frame in zip(engine._checked(spec, bundle)[0], frames):
+            x = engine._run(entry, x)
+            if frame is not None:
+                assert np.array_equal(engine._unframe(frame), x)
+                kept.append((frame[1], frame[0].shape[1:]))
+        # bands of rows and columns, and the kept rows and columns; the band
+        # of the last conv covers its 4x4 map, so all of it is kept
+        assert kept == [([1, 1], (3, 3)), ([2, 2], (5, 5)), ([2, 2], (5, 5)),
+                        ([2, 2], (5, 5)), ([2, 2], (5, 5))]
+
+    @pytest.mark.parametrize("mid", [8, 4])  # the stub trunk and the test pipeline's
+    def test_stub_trunks_run_full_forwards(self, mid, monkeypatch):
+        spec = stub_spec(mid_channels=mid)
+        bundle = biased_bundle(spec, seed=mid)
+        reference = f32(3, 224, 224, scale=40.0)
+        twin = differs_at(reference, region(224, DISJOINT), 0)
+
+        def no_patches(*args):
+            raise AssertionError("a stub trunk computed a delta")
+
+        monkeypatch.setattr(engine, "_conv_patches", no_patches)
+        ref_out, twin_out = forward_pair_to_pool5(spec, bundle, reference, twin)
+        assert np.array_equal(ref_out, forward_to_pool5(spec, bundle, reference))
+        assert np.array_equal(twin_out, forward_to_pool5(spec, bundle, twin))
+        zero = zero_reference(spec, bundle, (3, 224, 224))
+        assert np.array_equal(forward_delta_to_pool5(spec, bundle, twin, zero),
+                              forward_to_pool5(spec, bundle, twin))
+
+    def test_mismatches_rejected(self, rng):
+        spec = mini_spec()
+        bundle = biased_bundle(spec, seed=0)
+        with pytest.raises(ValueError):
+            forward_pair_to_pool5(spec, bundle, f32(3, 32, 32, rng=rng),
+                                  f32(3, 32, 48, rng=rng))
+        zero = zero_reference(spec, bundle, (3, 32, 32))
+        with pytest.raises(ValueError, match="does not fit"):
+            forward_delta_to_pool5(spec, bundle, f32(3, 48, 32, rng=rng), zero)
+
+
+@pytest.fixture(scope="module")
+def vgg16_views():
+    """A random VGG16 bundle, its zero reference, and the 20 slices of a
+    photo-like image rendered as extraction renders them: from the
+    mean-subtracted working image with fill 0."""
+    spec = vgg16_spec()
+    bundle = biased_bundle(spec, seed=5, means=(124.0, 117.0, 104.0))
+    rng = np.random.default_rng(8)
+    coarse = rng.uniform(0, 255, (11, 13, 3))
+    photo = np.repeat(np.repeat(coarse, 32, axis=0), 32, axis=1)[:330, :400]
+    working = resize_to_working(photo + rng.normal(0.0, 12.0, photo.shape))
+    centred = working - bundle.means[:, None, None]
+    views = [render_slice(centred, m, np.zeros(3, dtype=np.float32)).pixels
+             for m in all_masks(224)]
+    return spec, bundle, zero_reference(spec, bundle, (3, 224, 224)), views
+
+
+def delta_forwards(spec, bundle, zero, views):
+    """The 20 slices' outputs as extraction computes them: rect k paired with
+    circ k (slot 8 + k), the others over the zero reference."""
+    outs = [None] * 20
+    for k in range(4):
+        outs[k], outs[8 + k] = forward_pair_to_pool5(spec, bundle, views[k], views[8 + k])
+    for j in [*range(4, 8), *range(12, 20)]:
+        outs[j] = forward_delta_to_pool5(spec, bundle, views[j], zero)
+    return outs
+
+
+class TestDeltaForwardsOnVgg16:
+    def test_all_twenty_renders_match_full_forwards(self, vgg16_views):
+        spec, bundle, zero, views = vgg16_views
+        for j, out in enumerate(delta_forwards(spec, bundle, zero, views)):
+            assert np.array_equal(out, forward_to_pool5(spec, bundle, views[j])), j
+
+    def test_part_views_compute_at_most_eighty_percent(self, vgg16_views, monkeypatch):
+        # GEMM multiply-adds of the 20 part views, against 20 full forwards
+        spec, bundle, zero, views = vgg16_views
+        work = count_gemm_work(monkeypatch)
+        delta_forwards(spec, bundle, zero, views)
+        full, size = 0, 224
+        for layer in spec.layers:
+            if layer.kind == CONV3X3:
+                full += 9 * layer.in_channels * layer.out_channels * size * size
+            else:
+                size //= 2
+        assert sum(work) <= 0.80 * 20 * full
+
+    def test_pair_holds_under_a_fifth_more_than_a_forward(self, vgg16_views):
+        # the twin's patches are the only extra: never a third full activation
+        spec, bundle, _, views = vgg16_views
+        _, single = traced_peak(lambda: forward_to_pool5(spec, bundle, views[0]))
+        _, pair = traced_peak(lambda: forward_pair_to_pool5(spec, bundle, views[0], views[8]))
+        assert pair <= 1.2 * single

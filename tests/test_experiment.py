@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import watch_forwards
 from scenefuse import experiment
 from scenefuse.datasets import DatasetManifest, SplitProtocol
 from scenefuse.experiment import (
-    FeatureConfig, compute_base_features, config_matrix, default_configs,
-    extract_dataset, format_table, pair_digest, run_experiment, tune_cost,
+    FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
+    extract_dataset, format_table, run_experiment, tune_cost,
 )
 from scenefuse.pipeline import SOURCES
 
@@ -60,14 +61,33 @@ class TestBaseFeatures:
         for mat in base.values():
             assert mat.shape == (n, 512)
         assert len(paths) == n
-        digest = pair_digest(obj, scn)
-        assert len(list(cache_dir.glob(f"*_{digest}.hdfc"))) == 4
+        # each source's cache is keyed by the digest of its own backend
+        for backend, sources in ((obj, ("op", "ow")), (scn, ("sp", "sw"))):
+            digest = backend_digest(backend)
+            assert sorted(p.name for p in cache_dir.glob(f"*_{digest}.hdfc")) == [
+                f"{manifest.name}_{s}_{digest}.hdfc" for s in sources]
 
         again, labels2, _ = compute_base_features(manifest, obj, scn,
                                                   cache_dir=str(cache_dir))
         assert np.array_equal(labels, labels2)
         for s in SOURCES:
             assert np.array_equal(base[s], again[s])
+
+    def test_full_run_caches_serve_a_single_source(self, tiny_dataset, stub_pair,
+                                                   tmp_path, monkeypatch):
+        _, manifest = tiny_dataset
+        obj, scn = stub_pair
+        cache_dir = str(tmp_path / "cache")
+        full, _, _ = compute_base_features(manifest, obj, scn, cache_dir)
+
+        def no_extraction(*args):
+            raise AssertionError("extracted despite a matching cache")
+
+        monkeypatch.setattr(experiment, "extract_dataset", no_extraction)
+        # the scene backend is not needed for ow, so it may be missing
+        only, _, _ = compute_base_features(manifest, obj, None, cache_dir, ("ow",))
+        assert sorted(only) == ["ow"]
+        assert np.array_equal(only["ow"], full["ow"])
 
     def test_one_image_positional_call(self, tiny_dataset, stub_pair):
         # the shape in which the extraction benchmark calls it, image by image
@@ -174,6 +194,20 @@ class TestRunExperiment:
         run_experiment(manifest, *stub_pair, small_protocol,
                        configs=(FeatureConfig("ow"),), folds=5, c_values=range(1, 3))
         assert len(calls) == 1
+
+    def test_single_type_extracts_only_its_source(self, tiny_dataset, stub_pair,
+                                                  small_protocol, monkeypatch):
+        _, manifest = tiny_dataset
+        obj, _ = stub_pair
+        views = []  # a rect/circ pair forward counts as 2
+        watch_forwards(monkeypatch, views.append)
+        for feature_type, per_image in (("ow", 1), ("op", 20)):
+            views.clear()
+            report = run_experiment(manifest, obj, None, small_protocol,
+                                    configs=(FeatureConfig(feature_type),), folds=5,
+                                    c_values=range(1, 3))
+            assert [r.name for r in report.results] == [feature_type.upper()]
+            assert sum(views) == per_image * manifest.total_images
 
     def test_partial_flush_on_failure(self, tiny_dataset, stub_pair, small_protocol,
                                       tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import traced_peak, watch_forwards
 from oracles import fuse_row, slice_all
 from scenefuse import pipeline
 from scenefuse.engine import forward_to_pool5, gap
@@ -116,19 +116,36 @@ class TestExtractPart:
         raster = rng.uniform(0, 255, (90, 70, 3)).astype(np.float32)
         part = extract_base_features(backend, None, raster, ("op",))["op"]
 
-        working = resize_to_working(raster)
-        means = backend.means[:, None, None]
+        # slices are cut from the mean-subtracted working image with fill 0
+        centred = preprocess(raster, backend.means)
         vectors = [
-            gap(forward_to_pool5(backend.spec, backend.weights, s.pixels - means))
-            for s in slice_all(working, fill=backend.means)
+            gap(forward_to_pool5(backend.spec, backend.weights, s.pixels))
+            for s in slice_all(centred, fill=np.zeros(3, dtype=np.float32))
         ]
         assert len(vectors) == 20
         expected = np.stack(vectors).mean(axis=0, dtype=np.float32)
         assert np.array_equal(part, expected)
 
+    def test_zero_fill_stays_near_the_mean_fill_composition(self, rng):
+        # rendering the mean-subtracted image with fill 0 moves each
+        # descriptor by rounding only, from rendering the image with the
+        # means as fill and subtracting them afterwards
+        backend = tiny_backend(seed=6)
+        raster = rng.uniform(0, 255, (90, 70, 3)).astype(np.float32)
+        part = extract_base_features(backend, None, raster, ("op",))["op"]
+        means = backend.means[:, None, None]
+        mean_fill = np.stack([
+            gap(forward_to_pool5(backend.spec, backend.weights, s.pixels - means))
+            for s in slice_all(resize_to_working(raster), fill=backend.means)
+        ]).mean(axis=0, dtype=np.float32)
+        assert np.max(np.abs(part - mean_fill)) <= 1e-5 * np.max(np.abs(mean_fill))
+
     @pytest.mark.parametrize("scene_means, fills", [((124.0, 117.0, 104.0), 1),
                                                     ((90.0, 80.0, 70.0), 2)])
     def test_holds_one_render_per_fill_at_a_time(self, rng, monkeypatch, scene_means, fills):
+        # a mask is rendered once per fill, that is per distinct means; a
+        # trunk call holds only its own views' renders: one, or two for a
+        # rect/circ pair
         obj = tiny_backend("object", seed=1)
         spec = stub_spec(mid_channels=4)
         scn = Backend(kind="scene", spec=spec,
@@ -141,16 +158,14 @@ class TestExtractPart:
             renders.append(weakref.ref(sub.pixels))
             return sub
 
-        def forward(*args):
-            alive.append(sum(r() is not None for r in renders))
-            return forward_to_pool5(*args)
-
         monkeypatch.setattr(pipeline, "render_slice", rendering)
-        monkeypatch.setattr(pipeline, "forward_to_pool5", forward)
+        watch_forwards(monkeypatch, lambda views: alive.append(
+            (views, sum(r() is not None for r in renders))))
         extract_base_features(obj, scn, raster)
         assert len(renders) == 20 * fills
-        assert len(alive) == 42
-        assert max(alive) <= fills
+        assert sum(views for views, _ in alive) == 42
+        assert sum(views == 2 for views, _ in alive) == 8
+        assert all(held <= views for views, held in alive)
 
     def test_peak_is_below_twenty_renders(self, rng, stub_pair):
         # one image through the stub trunks: holding the 20 rendered slices
@@ -165,22 +180,17 @@ class TestExtractBaseFeatures:
         obj = tiny_backend("object", seed=1)
         scn = tiny_backend("scene", seed=2)
         raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return forward_to_pool5(*args)
-
-        monkeypatch.setattr(pipeline, "forward_to_pool5", counting)
+        calls = []  # views per trunk call; a rect/circ pair counts as 2
+        watch_forwards(monkeypatch, calls.append)
         for sources, forwards in ((SOURCES, 42), (("ow",), 1), (("op",), 20),
                                   (("sw", "sp"), 21)):
             calls.clear()
             base = extract_base_features(obj, scn, raster, sources)
             assert set(base) == set(sources)
-            assert len(calls) == forwards, sources
+            assert sum(calls) == forwards, sources
         calls.clear()
         extract_base_features(obj, scn, raster)
-        assert len(calls) == 42
+        assert sum(calls) == 42
 
     def test_missing_backend_for_requested_source_rejected(self, rng):
         obj = tiny_backend("object", seed=1)
