@@ -1,4 +1,6 @@
-"""Feature cache files (magic ``HDFC``): one labelled path per matrix row.
+"""Feature cache files (magic ``HDFC``) and result records.
+
+An ``HDFC`` file holds one labelled path per matrix row.
 
 Each row of an (N, dim) float32 matrix is stored with a label and an
 image path. Little-endian layout::
@@ -12,10 +14,15 @@ image path. Little-endian layout::
         path length     u32
         path            UTF-8 bytes
         values          dim x f32
+
+A result record is a small JSON object: the plain fields of its key (see
+``experiment.run_experiment``) plus the results they produced. Both kinds
+of file are written under a temporary name and renamed over the target.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
@@ -25,6 +32,8 @@ from .binfile import BoundedReader
 
 MAGIC = b"HDFC"
 FORMAT_VERSION = 1
+# Bump whenever tuning, training or evaluation would give another result.
+RECORD_VERSION = 1
 
 
 class CacheFileError(ValueError):
@@ -47,29 +56,63 @@ class CacheDimensionError(CacheFileError):
     """Cache feature dimension differs from what the consumer expects."""
 
 
-def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
-    """Write each row of `matrix`, from its buffer, with its label and path.
-
-    The file is written under a temporary name, then renamed over `path`:
-    an interrupted write leaves the previous file, or none.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    if matrix.ndim != 2 or not len(labels) == len(paths) == matrix.shape[0]:
-        raise CacheDimensionError(f"{len(labels)} labels and {len(paths)} paths for a "
-                                  f"matrix of shape {matrix.shape}; need one per row")
+def _write_atomic(path: str, write) -> None:
+    """Call `write(fh)` on a temporary file, then rename it over `path`:
+    an interrupted write leaves the previous file, or none."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1],
-                                         matrix.shape[0]))
-            for label, rec_path, row in zip(labels, paths, matrix):
-                encoded = rec_path.encode("utf-8")
-                fh.write(struct.pack("<II", int(label), len(encoded)) + encoded)
-                fh.write(row)
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
+    """Write each row of `matrix`, from its buffer, with its label and path."""
+    matrix = np.ascontiguousarray(matrix, dtype="<f4")
+    if matrix.ndim != 2 or not len(labels) == len(paths) == matrix.shape[0]:
+        raise CacheDimensionError(f"{len(labels)} labels and {len(paths)} paths for a "
+                                  f"matrix of shape {matrix.shape}; need one per row")
+
+    def write(fh):
+        fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1],
+                                     matrix.shape[0]))
+        for label, rec_path, row in zip(labels, paths, matrix):
+            encoded = rec_path.encode("utf-8")
+            fh.write(struct.pack("<II", int(label), len(encoded)) + encoded)
+            fh.write(row)
+
+    _write_atomic(path, write)
+
+
+def save_record(path: str, fields: dict, results: dict) -> None:
+    """Write a result record: its key's plain `fields` and its `results`."""
+    doc = json.dumps({**fields, **results}, sort_keys=True).encode()
+    _write_atomic(path, lambda fh: fh.write(doc))
+
+
+def load_record(path: str, fields: dict, result_names) -> dict | None:
+    """The results named by `result_names` of the record at `path`, or None
+    if there is none. A record that does not parse, lacks a field or holds
+    other `fields` than the caller's raises CacheFileError."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:  # JSON and UTF-8 decoding errors alike
+        raise CacheFileError(f"{path}: not a result record: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CacheFileError(f"{path}: not a result record: not a JSON object")
+    missing = [name for name in (*fields, *result_names) if name not in doc]
+    if missing:
+        raise CacheFileError(f"{path}: result record lacks {', '.join(missing)}")
+    differ = [name for name in fields if doc[name] != fields[name]]
+    if differ:
+        raise CacheFileError(f"{path}: result record's {', '.join(differ)} differ from its key's")
+    return {name: doc[name] for name in result_names}
 
 
 def load_cache(path: str, expect_dim: int | None = None):

@@ -31,6 +31,9 @@ Prediction is the argmax of decision values with ties broken toward the
 smallest class id. The cost parameter is tuned by stratified k-fold
 cross-validation over the integer grid C = 1..100, ties toward the
 smaller C.
+
+Experiment result records reuse chosen C and accuracy across runs, so
+bump `cache.RECORD_VERSION` whenever this module's arithmetic changes.
 """
 
 from __future__ import annotations

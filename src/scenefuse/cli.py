@@ -407,12 +407,15 @@ def cmd_experiment(args) -> int:
         plan = load_split(_require_file(args.split_file, "--split-file"), manifest)
 
     os.makedirs(out_dir, exist_ok=True)
+    cache_dir = os.path.join(out_dir, "cache")
     report = run_experiment(
         manifest, object_backend, scene_backend, protocol,
-        configs=configs, folds=folds,
-        plan=plan, cache_dir=os.path.join(out_dir, "cache"),
+        configs=configs, folds=folds, plan=plan, cache_dir=cache_dir,
         out_path=os.path.join(out_dir, "report.json"),
     )
+    computed = sum(len(r.chosen_c) for r in report.results) - report.reused
+    print(f"(configuration, repetition) results: {report.reused} reused from {cache_dir}, "
+          f"{computed} computed", file=sys.stderr)
     print(format_table(report), end="")
     print(f"wrote {os.path.join(out_dir, 'report.json')}")
     return EXIT_OK

@@ -5,7 +5,16 @@ ablations: for every feature configuration and split repetition, the
 cost parameter is tuned by cross-validation on the training rows only,
 a one-vs-rest model is trained with the winning cost, and test accuracy
 is recorded. Base descriptors are extracted once per image and reused by
-all configurations; they can be cached on disk in the ``HDFC`` format.
+all configurations.
+
+Given a cache directory, a run keeps two kinds of file there. Each base
+descriptor's ``HDFC`` cache is keyed by its trunk's digest, which folds in
+`EXTRACTION_VERSION`; it is re-extracted when any image is newer than it.
+Each (configuration, repetition) leaves a result record, keyed by a sha256
+over `cache.RECORD_VERSION`, the configuration name, folds, tuning seed, C
+grid, the solver's tolerance and iteration cap, and the train rows, then
+the test rows, with their labels. A later run whose inputs hash the same
+reuses the record instead of tuning, training and evaluating again.
 """
 
 from __future__ import annotations
@@ -14,12 +23,13 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import load_cache, save_cache
-from .classifier import (C_GRID, GridSearchReport, evaluate, grid_search_c, train_ovr)
+from .cache import RECORD_VERSION, CacheFileError, load_cache, load_record, save_cache, save_record
+from .classifier import (C_GRID, DEFAULT_TOL, MAX_ITER, GridSearchReport, evaluate,
+                         grid_search_c, train_ovr)
 from .datasets import DatasetError, DatasetManifest, SplitPlan, SplitProtocol, make_split
 from .imageio import NetpbmError, read_raster
 from .pipeline import (FEATURE_DIM, POOL_OPS, SOURCES, Backend,
@@ -28,6 +38,8 @@ from .pipeline import (FEATURE_DIM, POOL_OPS, SOURCES, Backend,
 logger = logging.getLogger(__name__)
 
 _TUNE_STREAM = 0x7A11
+# Bump whenever extraction (engine, resize, slicing, pipeline) would give other features.
+EXTRACTION_VERSION = 1
 FEATURE_TYPES = ("op", "ow", "sp", "sw", "hdf")
 
 
@@ -88,6 +100,7 @@ class ExperimentReport:
     protocol: dict
     results: tuple[ConfigResult, ...]
     complete: bool = True
+    reused: int = field(default=0, compare=False)  # results read from records; not in the file
 
     def to_dict(self) -> dict:
         return {
@@ -114,8 +127,9 @@ class ExperimentReport:
 
 
 def backend_digest(backend: Backend) -> str:
-    """Content hash of one backend's kind and weight bundle; keys its sources' caches."""
-    h = hashlib.sha256()
+    """Content hash of the extraction version and one backend's kind and weight
+    bundle; keys its sources' caches."""
+    h = hashlib.sha256(f"extraction {EXTRACTION_VERSION}".encode())
     h.update(backend.kind.encode())
     h.update(np.ascontiguousarray(backend.weights.means, dtype="<f4"))
     for entry in backend.weights.entries:
@@ -130,10 +144,15 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
 
 
 def _try_load_base(cache_paths, paths, labels):
+    if not all(map(os.path.isfile, cache_paths.values())):
+        return None
+    written = min(os.stat(path).st_mtime_ns for path in cache_paths.values())
+    newer = next((path for path in paths if os.stat(path).st_mtime_ns > written), None)
+    if newer is not None:
+        logger.info("%s is newer than the cached base features; re-extracting", newer)
+        return None
     mats = {}
     for source, path in cache_paths.items():
-        if not os.path.isfile(path):
-            return None
         cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
         if cached_paths != paths or not np.array_equal(cached_labels, labels):
             return None
@@ -234,6 +253,34 @@ def _tune_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence([int(seed), _TUNE_STREAM, rep]).generate_state(1)[0])
 
 
+def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test_idx):
+    """Tune, train and evaluate one (configuration, repetition); returns
+    (chosen C, test accuracy, whether they came from a result record)."""
+    if cache_dir:
+        fields = {"version": RECORD_VERSION, "config": config.name, "folds": int(folds),
+                  "tune_seed": seed, "c_values": [int(c) for c in c_values],
+                  "tol": DEFAULT_TOL, "max_iter": MAX_ITER}
+        h = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+        for idx in (train_idx, test_idx):
+            h.update(np.ascontiguousarray(X[idx], dtype="<f4"))
+            h.update(np.ascontiguousarray(labels[idx], dtype="<i8"))
+        path = os.path.join(cache_dir, f"result_{h.hexdigest()[:32]}.json")
+        record = load_record(path, fields, ("chosen_c", "accuracy"))
+        if record is not None:
+            chosen_c, accuracy = record["chosen_c"], record["accuracy"]
+            if chosen_c not in fields["c_values"] or type(accuracy) is not float:
+                raise CacheFileError(f"{path}: result record holds chosen C {chosen_c!r} "
+                                     f"and accuracy {accuracy!r}")
+            logger.info("reused result record %s", path)
+            return chosen_c, accuracy, True
+    chosen_c = tune_cost(X, labels, train_idx, folds, seed, c_values).chosen_c
+    model = train_ovr(X[train_idx], labels[train_idx], chosen_c)
+    accuracy = evaluate(model, X[test_idx], labels[test_idx])
+    if cache_dir:
+        save_record(path, fields, {"chosen_c": chosen_c, "accuracy": accuracy})
+    return chosen_c, accuracy, False
+
+
 def _flat_indices(manifest: DatasetManifest, per_class) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.cumsum([0] + [len(paths) for _, paths in manifest.classes[:-1]])
     train = []
@@ -261,7 +308,10 @@ def run_experiment(
     Only the base descriptors the configurations use are extracted, so a
     backend none of them needs may be None. If `out_path` is given the
     report JSON is written there, including a partial report
-    (complete=false) when a configuration fails mid-run.
+    (complete=false) when a configuration fails mid-run. With a
+    `cache_dir`, each (configuration, repetition) is written there as a
+    result record when it finishes and reused by any later run whose inputs
+    hash the same, so a killed run resumes at its first unfinished pair.
     """
     configs = default_configs() if configs is None else tuple(configs)
     if plan is None:
@@ -278,6 +328,7 @@ def run_experiment(
         "repetitions": protocol.repetitions,
     }
     results: list[ConfigResult] = []
+    reused = 0
 
     def build_report(complete: bool) -> ExperimentReport:
         return ExperimentReport(
@@ -287,6 +338,7 @@ def run_experiment(
             protocol=protocol_doc,
             results=tuple(results),
             complete=complete,
+            reused=reused,
         )
 
     try:
@@ -295,12 +347,12 @@ def run_experiment(
             per_rep = []
             chosen = []
             for rep, per_class in enumerate(plan.repetitions):
-                train_idx, test_idx = _flat_indices(manifest, per_class)
-                report = tune_cost(X, labels, train_idx, folds,
-                                   _tune_seed(protocol.seed, rep), c_values)
-                model = train_ovr(X[train_idx], labels[train_idx], report.chosen_c)
-                per_rep.append(evaluate(model, X[test_idx], labels[test_idx]))
-                chosen.append(report.chosen_c)
+                chosen_c, accuracy, from_record = _result(
+                    cache_dir, config, folds, _tune_seed(protocol.seed, rep), c_values,
+                    X, labels, *_flat_indices(manifest, per_class))
+                per_rep.append(accuracy)
+                chosen.append(chosen_c)
+                reused += from_record
             results.append(ConfigResult(
                 name=config.name,
                 feature_type=config.feature_type,

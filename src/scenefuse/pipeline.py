@@ -18,7 +18,7 @@ a one-row matrix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -136,8 +136,12 @@ def extract_base_features(
 
 def benchmark_delta_forwards(seed: int = 0) -> dict:
     """Seconds of one rect/circ pair and one tri slice of a random working image
-    through the delta and the full forwards of a random VGG16 bundle."""
-    backend = Backend("object", vgg16_spec(), random_bundle(vgg16_spec(), seed=seed))
+    through the delta and the full forwards of a random VGG16 bundle. Its biases
+    are nonzero, so the zero reference's border frames are not all zero."""
+    bundle, rng = random_bundle(vgg16_spec(), seed=seed), np.random.default_rng(seed)
+    backend = Backend("object", vgg16_spec(), replace(bundle, entries=tuple(
+        replace(e, bias=rng.uniform(-0.2, 0.5, e.bias.shape).astype(np.float32))
+        for e in bundle.entries)))
     image = np.random.default_rng(seed).uniform(-128, 128, (3, WORKING_SIZE, WORKING_SIZE))
     rect, tri, circ = (render_slice(image.astype(np.float32), all_masks(WORKING_SIZE)[j],
                                     np.zeros(3, np.float32)).pixels for j in (0, 4, 8))

@@ -5,6 +5,7 @@ error: never a bare ValueError, a UnicodeDecodeError, or an allocation
 sized by a corrupted header.
 """
 
+import json
 import os
 import tempfile
 
@@ -42,3 +43,13 @@ def corruptions(data: bytes):
     flipped = st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
                        min_size=1, max_size=4).map(lambda flips: _flip(data, flips))
     return st.one_of(truncated, flipped)
+
+
+# a result record's text -> damaged text; each must raise CacheFileError naming the file
+RECORD_DAMAGE = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "missing field": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "accuracy"}),
+    "other configuration": lambda text: json.dumps({**json.loads(text), "config": "OX"}),
+    "C off the grid": lambda text: json.dumps({**json.loads(text), "chosen_c": 0}),
+}

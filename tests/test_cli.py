@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import watch_forwards
+from corruption import RECORD_DAMAGE
 from scenefuse import cli
 from scenefuse.cache import load_cache
 from scenefuse.imageio import write_ppm
@@ -205,6 +206,31 @@ class TestExperiment:
         assert [c["name"] for c in doc["configurations"]] == ["OW"]
         assert [p.name.split("_")[1] for p in (out / "cache").glob("*.hdfc")] == ["ow"]
 
+    def test_reports_reused_and_computed_results(self, tiny_dataset, weight_files,
+                                                 tmp_path, capsys):
+        out = tmp_path / "exp"
+        args = experiment_args(tiny_dataset, weight_files, out) + ["--folds", "2"]
+        reports = []
+        for reused, computed in ((0, 8), (8, 0)):
+            assert cli.main(args) == 0
+            assert (f"results: {reused} reused from {out / 'cache'}, {computed} computed"
+                    in capsys.readouterr().err)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
+    def test_bad_result_record_is_data_error(self, damage, tiny_dataset, weight_files,
+                                             tmp_path, capsys):
+        out = tmp_path / "exp"
+        args = experiment_args(tiny_dataset, weight_files, out) + [
+            "--folds", "2", "--feature-type", "ow"]
+        assert cli.main(args) == 0
+        (record,) = (out / "cache").glob("result_*.json")
+        record.write_text(RECORD_DAMAGE[damage](record.read_text()))
+        capsys.readouterr()
+        assert cli.main(args) == cli.EXIT_DATA
+        assert f"data error: {record}" in capsys.readouterr().err
+
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
         root, _ = tiny_dataset
@@ -350,7 +376,17 @@ class TestTrunkRecognition:
 
 
 class TestBenchAndConfig:
-    def test_bench_json(self, capsys):
+    def test_bench_json(self, capsys, monkeypatch):
+        from scenefuse import pipeline
+
+        frames = []
+        original = pipeline.forward_delta_to_pool5
+
+        def watched(spec, bundle, image, zero):
+            frames.extend(frame[0] for frame in zero[1] if frame is not None)
+            return original(spec, bundle, image, zero)
+
+        monkeypatch.setattr(pipeline, "forward_delta_to_pool5", watched)
         rc = cli.main(["bench", "--channels-in", "2", "--height", "16",
                        "--width", "16", "--channels-out", "2", "--repeats", "1"])
         assert rc == 0
@@ -358,6 +394,8 @@ class TestBenchAndConfig:
         assert doc["speedup"] > 0
         assert doc["max_relative_deviation"] <= 1e-5
         delta = doc["delta_forwards"]
+        # the tri slice ran over a zero reference whose every conv's frame is nonzero
+        assert len(frames) == 13 and all(np.any(frame) for frame in frames)
         assert delta["bit_identical"] is True
         assert delta["pair_ratio"] > 0 and delta["tri_ratio"] > 0
 

@@ -1,16 +1,22 @@
 import json
+import logging
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import watch_forwards
-from scenefuse import experiment
-from scenefuse.datasets import DatasetManifest, SplitProtocol
+from corruption import RECORD_DAMAGE
+from scenefuse import cache, experiment
+from scenefuse.cache import CacheFileError
+from scenefuse.datasets import REPEATED_RANDOM, DatasetManifest, SplitProtocol, scan_dataset
 from scenefuse.experiment import (
     FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
     extract_dataset, format_table, run_experiment, tune_cost,
 )
 from scenefuse.pipeline import SOURCES
+from scenefuse.synthetic import stub_backend_pair
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,44 @@ class TestBaseFeatures:
         only, _, _ = compute_base_features(manifest, obj, None, cache_dir, ("ow",))
         assert sorted(only) == ["ow"]
         assert np.array_equal(only["ow"], full["ow"])
+
+    def test_extraction_version_changes_the_digest(self, stub_pair, monkeypatch):
+        before = backend_digest(stub_pair[0])
+        monkeypatch.setattr(experiment, "EXTRACTION_VERSION", experiment.EXTRACTION_VERSION + 1)
+        assert backend_digest(stub_pair[0]) != before
+
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_an_image_newer_than_the_cache_is_reextracted(
+            self, touched, tiny_dataset, stub_pair, tmp_path, monkeypatch, caplog):
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        manifest = scan_dataset(str(tmp_path / "data"))
+        cache_dir = tmp_path / "cache"
+        first, _, paths = compute_base_features(manifest, *stub_pair, str(cache_dir))
+        # the caches were written 2 s ago; one image was touched 1 s after (or before) that
+        now = max(p.stat().st_mtime_ns for p in cache_dir.iterdir())
+        for cache_file in cache_dir.iterdir():
+            os.utime(cache_file, ns=(now - 2 * 10**9,) * 2)
+        victim = paths[7]
+        stamp = now - (1 if touched else 3) * 10**9
+        os.utime(victim, ns=(stamp, stamp))
+
+        calls = []
+        original = experiment.extract_dataset
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "extract_dataset", counting)
+        with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
+            again, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
+        assert len(calls) == touched
+        assert (victim in caplog.text) == touched
+        for s in SOURCES:
+            assert np.array_equal(first[s], again[s])
+        compute_base_features(manifest, *stub_pair, str(cache_dir))
+        assert len(calls) == touched  # the rewritten caches are newer than the image
 
     def test_one_image_positional_call(self, tiny_dataset, stub_pair):
         # the shape in which the extraction benchmark calls it, image by image
@@ -238,3 +282,119 @@ class TestRunExperiment:
         table = format_table(report)
         for row in ("OP", "OW", "SP", "SW", "HDF", "Max", "Mean", "Min", "Concat"):
             assert f"  {row} " in table or f"  {row:<8}" in table
+
+
+@pytest.fixture(scope="module")
+def two_reps():
+    return SplitProtocol(REPEATED_RANDOM, 4, 2, 2, seed=5)
+
+
+def count_tune_cost(monkeypatch, fail_at=None):
+    """Count `tune_cost` calls; the call numbered `fail_at` raises instead."""
+    calls = []
+    original = experiment.tune_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("killed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "tune_cost", counting)
+    return calls
+
+
+def records_in(cache_dir):
+    return sorted(p.name for p in cache_dir.glob("result_*.json"))
+
+
+class TestResultRecords:
+    def ablation(self, manifest, backends, protocol, cache_dir, **kwargs):
+        kwargs = {"folds": 2, "c_values": range(1, 4), **kwargs}
+        return run_experiment(manifest, *backends, protocol,
+                              cache_dir=cache_dir and str(cache_dir), **kwargs)
+
+    def test_second_run_tunes_nothing(self, tiny_dataset, stub_pair, two_reps, tmp_path,
+                                      monkeypatch, caplog):
+        _, manifest = tiny_dataset
+        first = self.ablation(manifest, stub_pair, two_reps, tmp_path)
+        assert first.reused == 0 and len(records_in(tmp_path)) == 16
+        calls = count_tune_cost(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
+            again = self.ablation(manifest, stub_pair, two_reps, tmp_path)
+        assert calls == [] and again.reused == 16
+        assert again.to_json() == first.to_json()
+        for name in records_in(tmp_path):
+            assert str(tmp_path / name) in caplog.text
+
+    def test_killed_run_resumes_at_its_first_unfinished_pair(
+            self, tiny_dataset, stub_pair, two_reps, tmp_path, monkeypatch):
+        _, manifest = tiny_dataset
+        whole = tmp_path / "whole.json"
+        self.ablation(manifest, stub_pair, two_reps, tmp_path / "a", out_path=str(whole))
+        resumed = tmp_path / "resumed.json"
+        count_tune_cost(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="killed"):
+            self.ablation(manifest, stub_pair, two_reps, tmp_path / "b",
+                          out_path=str(resumed))
+        assert len(records_in(tmp_path / "b")) == 2
+        calls = count_tune_cost(monkeypatch)
+        report = self.ablation(manifest, stub_pair, two_reps, tmp_path / "b",
+                               out_path=str(resumed))
+        assert len(calls) == 14 and report.reused == 2
+        assert resumed.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("change", ["backend seed", "folds", "C grid"])
+    def test_other_inputs_miss(self, change, tiny_dataset, stub_pair, two_reps, tmp_path,
+                               monkeypatch):
+        _, manifest = tiny_dataset
+        configs = (FeatureConfig("ow"),)
+        self.ablation(manifest, stub_pair, two_reps, tmp_path, configs=configs)
+        backends, kwargs = stub_pair, {"configs": configs}
+        if change == "backend seed":
+            backends = stub_backend_pair(seed=12)
+        elif change == "folds":
+            kwargs["folds"] = 3
+        else:
+            kwargs["c_values"] = range(1, 5)
+        calls = count_tune_cost(monkeypatch)
+        report = self.ablation(manifest, backends, two_reps, tmp_path, **kwargs)
+        assert len(calls) == 2 and report.reused == 0
+        assert len(records_in(tmp_path)) == 4
+
+    @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
+    def test_bad_record_names_its_file(self, damage, tiny_dataset, stub_pair, small_protocol,
+                                       tmp_path):
+        _, manifest = tiny_dataset
+        configs = (FeatureConfig("ow"),)
+        self.ablation(manifest, stub_pair, small_protocol, tmp_path, configs=configs)
+        (record,) = tmp_path.glob("result_*.json")
+        record.write_text(RECORD_DAMAGE[damage](record.read_text()))
+        with pytest.raises(CacheFileError) as error:
+            self.ablation(manifest, stub_pair, small_protocol, tmp_path, configs=configs)
+        assert str(record) in str(error.value)
+
+    def test_failed_write_leaves_no_record(self, tiny_dataset, stub_pair, small_protocol,
+                                           tmp_path, monkeypatch):
+        _, manifest = tiny_dataset
+        compute_base_features(manifest, *stub_pair, str(tmp_path), ("ow",))
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache.os, "replace", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            self.ablation(manifest, stub_pair, small_protocol, tmp_path,
+                          configs=(FeatureConfig("ow"),))
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_without_cache_dir_nothing_is_hashed_or_written(
+            self, tiny_dataset, stub_pair, small_protocol, tmp_path, monkeypatch):
+        _, manifest = tiny_dataset
+        monkeypatch.chdir(tmp_path)
+        for name in ("load_record", "save_record"):
+            monkeypatch.setattr(experiment, name, None)
+        report = self.ablation(manifest, stub_pair, small_protocol, None,
+                               configs=(FeatureConfig("ow"),))
+        assert report.reused == 0 and list(tmp_path.iterdir()) == []
