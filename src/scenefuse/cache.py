@@ -15,9 +15,10 @@ image path. Little-endian layout::
         path            UTF-8 bytes
         values          dim x f32
 
-A result record is a small JSON object: the plain fields of its key (see
-``experiment.run_experiment``) plus the results they produced. Both kinds
-of file are written under a temporary name and renamed over the target.
+A record is a small JSON object: a result record holds the plain fields
+of its key and the results they produced, a stamps record the images of
+an ``HDFC`` cache (see ``experiment``). Both kinds of file are written
+under a temporary name and renamed over the target.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
 
 
 def save_record(path: str, fields: dict, results: dict) -> None:
-    """Write a result record: its key's plain `fields` and its `results`."""
+    """Write a record: its key's plain `fields` and its `results`."""
     doc = json.dumps({**fields, **results}, sort_keys=True).encode()
     _write_atomic(path, lambda fh: fh.write(doc))
 
@@ -103,15 +104,15 @@ def load_record(path: str, fields: dict, result_names) -> dict | None:
     except FileNotFoundError:
         return None
     except ValueError as exc:  # JSON and UTF-8 decoding errors alike
-        raise CacheFileError(f"{path}: not a result record: {exc}") from None
+        raise CacheFileError(f"{path}: not a JSON record: {exc}") from None
     if not isinstance(doc, dict):
-        raise CacheFileError(f"{path}: not a result record: not a JSON object")
+        raise CacheFileError(f"{path}: not a JSON record: not a JSON object")
     missing = [name for name in (*fields, *result_names) if name not in doc]
     if missing:
-        raise CacheFileError(f"{path}: result record lacks {', '.join(missing)}")
+        raise CacheFileError(f"{path}: record lacks {', '.join(missing)}")
     differ = [name for name in fields if doc[name] != fields[name]]
     if differ:
-        raise CacheFileError(f"{path}: result record's {', '.join(differ)} differ from its key's")
+        raise CacheFileError(f"{path}: record's {', '.join(differ)} differ from its key's")
     return {name: doc[name] for name in result_names}
 
 

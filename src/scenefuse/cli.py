@@ -2,15 +2,16 @@
 
 Commands: ``slice``, ``extract``, ``train``, ``eval``, ``experiment``,
 ``validate-weights`` and ``bench``. Exit codes are a stable scripting
-contract: 0 success, 2 configuration error, 3 data error, 4 internal
-error (any exception but the typed errors that name bad input and
+contract: 0 success, 2 configuration or usage error, 3 data error, 4
+internal error (any exception but the typed errors that name bad input and
 ``OSError``). Every command validates its configuration before performing
 any write.
 
-A flat JSON config file (``--config``) may supply any of the shared
-options, each value checked against its flag's type or choices; explicit
-flags take precedence over config values, which take precedence over
-built-in defaults.
+Each command takes only the options its handler reads, plus ``--config``
+and ``--threads``; `_OPTIONS` states each option's type, choices, bound and
+default once. A flat JSON config file may set any option of its command by
+dest name, as a JSON value of the option's type within its choices and
+bound; flags take precedence over it, and it over the defaults.
 
 Heavy imports happen inside the command handlers so that ``--threads N``
 can pin the BLAS thread-pool environment variables before numpy loads;
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -32,17 +34,6 @@ EXIT_INTERNAL = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
-
-_POOLS = ("max", "mean", "min", "concat")
-_FEATURE_TYPES = ("hdf", "op", "ow", "sp", "sw")
-
-# option dests that may come from the config file, each with its flag's
-# type or choices
-_CONFIG_KEYS = {"object_weights": str, "scene_weights": str, "pool": _POOLS,
-                "feature_type": _FEATURE_TYPES, "dataset": str, "protocol": str,
-                "seed": int, "threads": int, "out": str, "folds": int}
-
-_DEFAULTS = {"pool": "concat", "feature_type": "hdf", "seed": 0, "folds": 5}
 
 
 def _data_errors() -> tuple[type[Exception], ...]:
@@ -58,111 +49,107 @@ class CliConfigError(Exception):
     """Invalid flags, config values, or missing input paths."""
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat JSON config file; flags override it")
-    parser.add_argument("--object-weights", help="HDFW bundle for the object trunk")
-    parser.add_argument("--scene-weights", help="HDFW bundle for the scene trunk")
-    parser.add_argument("--pool", choices=_POOLS,
-                        help="fusion operator for hdf features (default concat)")
-    parser.add_argument("--feature-type", choices=_FEATURE_TYPES,
-                        help="which descriptor to compute (default hdf)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--threads", type=int,
-                        help="pin BLAS thread pools to N (1 = reference path)")
-    parser.add_argument("--out", help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliConfigError, so that main returns 2 and never exits."""
+
+    def error(self, message):
+        raise CliConfigError(f"{self.prog}: {message}")
+
+
+def _at_least(low: int):
+    """The type of an int option whose values start at `low`."""
+    def parse(value):
+        value = int(value)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+# every option of every command: the keywords of its add_argument call
+_OPTIONS = {
+    "--config": {"help": "flat JSON config file; flags override it"},
+    "--threads": {"type": _at_least(1), "help": "pin BLAS thread pools to N (1 = reference)"},
+    "--out": {"help": "output directory"},
+    "image": {"help": "input PPM/PGM image"},
+    "--fill": {"default": "0,0,0",
+               "help": "R,G,B fill for masked-out pixels (default %(default)s)"},
+    "--dataset": {"help": "dataset root (directory per class)"},
+    "--object-weights": {"help": "HDFW bundle for the object trunk"},
+    "--scene-weights": {"help": "HDFW bundle for the scene trunk"},
+    "--feature-type": {"choices": ("hdf", "op", "ow", "sp", "sw"), "default": "hdf",
+                       "help": "descriptor (default %(default)s; experiment: all eight)"},
+    "--pool": {"choices": ("max", "mean", "min", "concat"), "default": "concat",
+               "help": "fusion operator for hdf features (default %(default)s)"},
+    "--features": {"help": "HDFC feature cache"},
+    "--model": {"help": "HDFM model file"},
+    "--folds": {"type": _at_least(2), "default": 5,
+                "help": "cross-validation folds (default %(default)s)"},
+    "--seed": {"type": _at_least(0), "default": 0, "help": "random seed (default %(default)s)"},
+    "--protocol": {"choices": ("mit67", "scene15", "event8", "custom"),
+                   "help": "split protocol; custom takes the three options below"},
+    "--train-per-class": {"type": _at_least(1), "help": "custom protocol: train images"},
+    "--test-per-class": {"help": "custom protocol: test images per class, or 'rest'"},
+    "--repetitions": {"type": _at_least(1), "help": "custom protocol: repetitions"},
+    "--split-file": {"help": "JSON split plan to use instead of sampling"},
+    "files": {"nargs": "+", "help": "HDFW weight files"},
+    "--trunk": {"choices": ("vgg16", "any"), "default": "vgg16",
+                "help": "architecture to validate against (default %(default)s)"},
+    "--channels-in": {"type": _at_least(1), "default": 64},
+    "--height": {"type": _at_least(1), "default": 224},
+    "--width": {"type": _at_least(1), "default": 224},
+    "--channels-out": {"type": _at_least(1), "default": 64},
+    "--repeats": {"type": _at_least(1), "default": 3},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scenefuse",
-        description="hybrid object/scene deep features: slicing, extraction, "
-                    "classification and experiments",
-    )
+    parser = _Parser(prog="scenefuse", description="hybrid object/scene deep features: "
+                     "slicing, extraction, classification and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slice", help="write the 20 sub-images and masks of one image")
-    p.add_argument("image", help="input PPM/PGM image")
-    p.add_argument("--fill", default="0,0,0",
-                   help="R,G,B fill for masked-out pixels (default 0,0,0)")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_slice)
-
-    p = sub.add_parser("extract", help="extract features for a dataset into an HDFC cache")
-    p.add_argument("--dataset", dest="dataset", help="dataset root (directory per class)")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_extract)
-
-    p = sub.add_parser("train", help="grid-search C and train a one-vs-rest model")
-    p.add_argument("--features", required=True, help="HDFC feature cache")
-    p.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a model on an HDFC feature cache")
-    p.add_argument("--model", required=True, help="HDFM model file")
-    p.add_argument("--features", required=True, help="HDFC feature cache")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("experiment", help="full ablation: tune, train, evaluate per split")
-    p.add_argument("--dataset", dest="dataset", help="dataset root (directory per class)")
-    p.add_argument("--protocol", dest="protocol",
-                   help="mit67 | scene15 | event8 | custom")
-    p.add_argument("--train-per-class", type=int, help="custom protocol: train images")
-    p.add_argument("--test-per-class",
-                   help="custom protocol: test images per class, or 'rest'")
-    p.add_argument("--repetitions", type=int, help="custom protocol: repetitions")
-    p.add_argument("--split-file", help="JSON split plan to use instead of sampling")
-    p.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_experiment)
-
-    p = sub.add_parser("validate-weights", help="check HDFW files load and match a trunk")
-    p.add_argument("files", nargs="+", help="HDFW weight files")
-    p.add_argument("--trunk", choices=["vgg16", "any"], default="vgg16",
-                   help="architecture to validate against (default vgg16)")
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_validate_weights)
-
-    p = sub.add_parser(
-        "bench", help="time optimized conv2d (im2col + sgemm over blocks of output rows, "
-        "~4 MiB of columns each) against the direct reference, and one rect/circ pair "
-        "and one tri slice through the delta forwards against full VGG16 forwards")
-    p.add_argument("--channels-in", type=int, default=64)
-    p.add_argument("--height", type=int, default=224)
-    p.add_argument("--width", type=int, default=224)
-    p.add_argument("--channels-out", type=int, default=64)
-    p.add_argument("--repeats", type=int, default=3)
-    _shared_flags(p)
-    p.set_defaults(handler=cmd_bench)
-
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in (*options, "--config", "--threads"):
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        if not os.path.isfile(args.config):
-            raise CliConfigError(f"config file not found: {args.config}")
+def commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, by name."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _read_config(path: str, command: argparse.ArgumentParser) -> dict:
+    """A config file's values, each checked against `command`'s option of that dest."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 decoding errors
+        raise CliConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise CliConfigError(f"config file {path} must hold a JSON object")
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(options))
+    if unknown:
+        raise CliConfigError(f"config keys {unknown} are not options of {command.prog}")
+    for key, value in cfg.items():
+        option = options[key]
+        kind = int if option.type else str
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliConfigError(f"config file {args.config}: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise CliConfigError(f"config file {args.config} must hold a JSON object")
-        unknown = set(cfg) - set(_CONFIG_KEYS)
-        if unknown:
-            raise CliConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in cfg.items():
-            rule = _CONFIG_KEYS[key]
-            if (value not in rule if isinstance(rule, tuple)
-                    else type(value) is not rule):  # type(): JSON true is no int
-                raise CliConfigError(f"config key {key!r}: invalid value {value!r}")
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
+            if type(value) is not kind:  # type(): JSON true is no int
+                raise argparse.ArgumentTypeError(f"not a JSON {kind.__name__}")
+            if option.type:
+                option.type(value)
+            if option.choices and value not in option.choices:
+                raise argparse.ArgumentTypeError(f"not one of {', '.join(option.choices)}")
+        except argparse.ArgumentTypeError as exc:
+            raise CliConfigError(f"config key {key!r}: invalid value {value!r}: {exc}") from None
+    return cfg
 
 
 def _require_file(path, what: str) -> str:
@@ -174,18 +161,11 @@ def _require_file(path, what: str) -> str:
 
 
 def _require_out(args) -> str:
-    if not getattr(args, "out", None):
+    if not args.out:
         raise CliConfigError("missing --out directory")
-    out = args.out
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise CliConfigError(f"--out {out} exists and is not a directory")
-    return out
-
-
-def _require_folds(args) -> int:
-    if args.folds < 2:
-        raise CliConfigError(f"--folds must be >= 2, got {args.folds}")
-    return args.folds
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise CliConfigError(f"--out {args.out} exists and is not a directory")
+    return args.out
 
 
 def _load_backends(args, sources):
@@ -193,19 +173,14 @@ def _load_backends(args, sources):
     from .pipeline import Backend
     from .weights import load_weights
 
-    object_backend = scene_backend = None
+    def build(kind: str, own: set, path: str, flag: str) -> Backend | None:
+        if not own & set(sources):
+            return None
+        bundle = load_weights(_require_file(path, flag))
+        return Backend(kind=kind, spec=_spec_for_bundle(bundle), weights=bundle)
 
-    def build(kind: str, path: str) -> Backend:
-        bundle = load_weights(path)
-        spec = _spec_for_bundle(bundle)
-        return Backend(kind=kind, spec=spec, weights=bundle)
-
-    if "op" in sources or "ow" in sources:
-        object_backend = build("object", _require_file(args.object_weights,
-                                                       "--object-weights"))
-    if "sp" in sources or "sw" in sources:
-        scene_backend = build("scene", _require_file(args.scene_weights,
-                                                     "--scene-weights"))
+    object_backend = build("object", {"op", "ow"}, args.object_weights, "--object-weights")
+    scene_backend = build("scene", {"sp", "sw"}, args.scene_weights, "--scene-weights")
     if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise CliConfigError("object and scene weight bundles have different shapes")
     return object_backend, scene_backend
@@ -228,9 +203,8 @@ def _spec_for_bundle(bundle):
     for spec in candidates:
         if shapes == [(l.out_channels, l.in_channels, 3, 3) for l in spec.conv_layers]:
             return spec
-    raise CliConfigError(
-        "weight bundle matches neither the canonical vgg16 trunk nor a stub trunk"
-    )
+    raise CliConfigError("weight bundle matches neither the canonical vgg16 trunk "
+                         "nor a stub trunk")
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +251,7 @@ def cmd_extract(args) -> int:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
     feature_type = args.feature_type
-    try:
-        config = FeatureConfig(feature_type,
-                               args.pool if feature_type == "hdf" else None)
-    except ValueError as exc:
-        raise CliConfigError(str(exc)) from None
+    config = FeatureConfig(feature_type, args.pool if feature_type == "hdf" else None)
     object_backend, scene_backend = _load_backends(args, config.sources)
     manifest = scan_dataset(args.dataset)
     paths, labels = manifest.flat_paths_labels()
@@ -311,10 +281,9 @@ def cmd_train(args) -> int:
 
     cache_path = _require_file(args.features, "--features cache")
     out_dir = _require_out(args)
-    folds = _require_folds(args)
     y, _, X = load_cache(cache_path)
 
-    report = grid_search_c(X, y, folds=folds, seed=int(args.seed))
+    report = grid_search_c(X, y, folds=args.folds, seed=args.seed)
     model = train_ovr(X, y, report.chosen_c)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -347,7 +316,7 @@ def cmd_eval(args) -> int:
     doc = {"accuracy": accuracy, "count": len(y), "model": model_path,
            "features": cache_path}
     print(json.dumps(doc, indent=2, sort_keys=True))
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "eval.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -359,25 +328,19 @@ def _build_protocol(args):
     from .datasets import (FIXED_PER_CLASS, REPEATED_RANDOM, SplitProtocol,
                            protocol_preset)
 
-    name = args.protocol
-    if not name:
-        raise CliConfigError("missing --protocol (mit67 | scene15 | event8 | custom)")
-    if name != "custom":
-        try:
-            return protocol_preset(name, seed=int(args.seed))
-        except ValueError as exc:
-            raise CliConfigError(str(exc)) from None
+    if not args.protocol:
+        raise CliConfigError("missing --protocol")
+    if args.protocol != "custom":
+        return protocol_preset(args.protocol, seed=args.seed)
     if not args.train_per_class or not args.repetitions:
-        raise CliConfigError(
-            "custom protocol needs --train-per-class and --repetitions"
-        )
+        raise CliConfigError("custom protocol needs --train-per-class and --repetitions")
     test = args.test_per_class
     try:
         test_per_class = None if test in (None, "rest") else int(test)
         kind = REPEATED_RANDOM if args.repetitions > 1 else FIXED_PER_CLASS
-        return SplitProtocol(kind=kind, train_per_class=int(args.train_per_class),
+        return SplitProtocol(kind=kind, train_per_class=args.train_per_class,
                              test_per_class=test_per_class,
-                             repetitions=int(args.repetitions), seed=int(args.seed))
+                             repetitions=args.repetitions, seed=args.seed)
     except ValueError as exc:
         raise CliConfigError(
             f"custom protocol: {exc} (--test-per-class takes an integer >= 1 or 'rest')"
@@ -392,13 +355,12 @@ def cmd_experiment(args) -> int:
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
-    folds = _require_folds(args)
     protocol = _build_protocol(args)
-    # full ablation by default; a single-type run loads only the trunk it needs
-    if args.feature_type in ("op", "ow", "sp", "sw"):
-        configs = (FeatureConfig(args.feature_type),)
-    else:
+    # hdf runs the full ablation; a single-type run loads only the trunk it needs
+    if args.feature_type == "hdf":
         configs = default_configs()
+    else:
+        configs = (FeatureConfig(args.feature_type),)
     object_backend, scene_backend = _load_backends(
         args, {source for config in configs for source in config.sources})
     manifest = scan_dataset(args.dataset)
@@ -410,7 +372,7 @@ def cmd_experiment(args) -> int:
     cache_dir = os.path.join(out_dir, "cache")
     report = run_experiment(
         manifest, object_backend, scene_backend, protocol,
-        configs=configs, folds=folds, plan=plan, cache_dir=cache_dir,
+        configs=configs, folds=args.folds, plan=plan, cache_dir=cache_dir,
         out_path=os.path.join(out_dir, "report.json"),
     )
     computed = sum(len(r.chosen_c) for r in report.results) - report.reused
@@ -443,11 +405,9 @@ def cmd_bench(args) -> int:
     from .engine import benchmark_conv2d
     from .pipeline import benchmark_delta_forwards
 
-    result = benchmark_conv2d(
-        channels_in=args.channels_in, height=args.height, width=args.width,
-        channels_out=args.channels_out, repeats=args.repeats, seed=int(args.seed),
-    )
-    delta = result["delta_forwards"] = benchmark_delta_forwards(seed=int(args.seed))
+    result = benchmark_conv2d(channels_in=args.channels_in, height=args.height, width=args.width,
+                              channels_out=args.channels_out, repeats=args.repeats, seed=args.seed)
+    delta = result["delta_forwards"] = benchmark_delta_forwards(seed=args.seed)
     print(json.dumps(result, indent=2, sort_keys=True))
     print(f"optimized {result['optimized_seconds'] * 1000:.1f} ms vs naive "
           f"{result['naive_seconds'] * 1000:.1f} ms: {result['speedup']:.1f}x",
@@ -457,18 +417,47 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
+# name: (handler, help, the options it reads besides --config and --threads)
+_COMMANDS = {
+    "slice": (cmd_slice, "write the 20 sub-images and masks of one image",
+              ("image", "--fill", "--out")),
+    "extract": (cmd_extract, "extract features for a dataset into an HDFC cache",
+                ("--dataset", "--object-weights", "--scene-weights", "--feature-type",
+                 "--pool", "--out")),
+    "train": (cmd_train, "grid-search C and train a one-vs-rest model",
+              ("--features", "--folds", "--seed", "--out")),
+    "eval": (cmd_eval, "evaluate a model on an HDFC feature cache",
+             ("--model", "--features", "--out")),
+    "experiment": (cmd_experiment, "full ablation: tune, train, evaluate per split",
+                   ("--dataset", "--protocol", "--train-per-class", "--test-per-class",
+                    "--repetitions", "--split-file", "--folds", "--object-weights",
+                    "--scene-weights", "--feature-type", "--seed", "--out")),
+    "validate-weights": (cmd_validate_weights, "check HDFW files load and match a trunk",
+                         ("files", "--trunk")),
+    "bench": (cmd_bench, "time optimized conv2d (im2col + sgemm over blocks of output rows, "
+              "~4 MiB of columns each) against the direct reference, and one rect/circ pair "
+              "and one tri slice through the delta forwards against full VGG16 forwards",
+              ("--channels-in", "--height", "--width", "--channels-out", "--repeats",
+               "--seed")),
+}
+
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # INFO lines (reused records, loaded or stale caches) reach stderr once per call
+    log = logging.getLogger("scenefuse")
+    handler, level = logging.StreamHandler(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
-        _apply_config(args)
-        threads = getattr(args, "threads", None)
-        if threads is not None:
-            if threads < 1:
-                raise CliConfigError(f"--threads must be >= 1, got {threads}")
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            command = commands(parser)[args.command]
+            command.set_defaults(**_read_config(args.config, command))
+            args = parser.parse_args(argv)
+        if args.threads is not None:
             for var in _THREAD_VARS:
-                os.environ[var] = str(threads)
+                os.environ[var] = str(args.threads)
         return args.handler(args)
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -479,6 +468,9 @@ def main(argv=None) -> int:
             return EXIT_DATA
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

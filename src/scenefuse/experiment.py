@@ -7,9 +7,10 @@ a one-vs-rest model is trained with the winning cost, and test accuracy
 is recorded. Base descriptors are extracted once per image and reused by
 all configurations.
 
-Given a cache directory, a run keeps two kinds of file there. Each base
+Given a cache directory, a run keeps three kinds of file there. Each base
 descriptor's ``HDFC`` cache is keyed by its trunk's digest, which folds in
-`EXTRACTION_VERSION`; it is re-extracted when any image is newer than it.
+`EXTRACTION_VERSION`, and reused only while every image has the size and
+``mtime_ns`` listed in the ``.stamps.json`` record beside it.
 Each (configuration, repetition) leaves a result record, keyed by a sha256
 over `cache.RECORD_VERSION`, the configuration name, folds, tuning seed, C
 grid, the solver's tolerance and iteration cap, and the train rows, then
@@ -143,16 +144,18 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
     return os.path.join(cache_dir, f"{dataset}_{source}_{digest}.hdfc")
 
 
-def _try_load_base(cache_paths, paths, labels):
+def _try_load_base(cache_paths, paths, labels, stamps):
     if not all(map(os.path.isfile, cache_paths.values())):
-        return None
-    written = min(os.stat(path).st_mtime_ns for path in cache_paths.values())
-    newer = next((path for path in paths if os.stat(path).st_mtime_ns > written), None)
-    if newer is not None:
-        logger.info("%s is newer than the cached base features; re-extracting", newer)
         return None
     mats = {}
     for source, path in cache_paths.items():
+        record = load_record(f"{path}.stamps.json", {}, ("images",))
+        stored = record["images"] if record and isinstance(record["images"], list) else []
+        if stored != stamps:
+            changed = next((image for image, old, new in zip(paths, stored, stamps)
+                            if old != new), "the image list")
+            logger.info("%s changed since %s was written; re-extracting", changed, path)
+            return None
         cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
         if cached_paths != paths or not np.array_equal(cached_labels, labels):
             return None
@@ -208,7 +211,9 @@ def compute_base_features(
     if cache_dir:
         cache_paths = {s: _cache_path(cache_dir, manifest.name, s, backend_digest(
             object_backend if s in ("op", "ow") else scene_backend)) for s in sources}
-        cached = _try_load_base(cache_paths, paths, labels)
+        # taken before extraction, so an image changed while it runs is seen next time
+        stamps = [[st.st_size, st.st_mtime_ns] for st in map(os.stat, paths)]
+        cached = _try_load_base(cache_paths, paths, labels, stamps)
         if cached is not None:
             return cached, labels, paths
 
@@ -221,6 +226,7 @@ def compute_base_features(
         os.makedirs(cache_dir, exist_ok=True)
         for source, path in cache_paths.items():
             save_cache(path, labels, paths, mats[source])
+            save_record(f"{path}.stamps.json", {}, {"images": stamps})
     return mats, labels, paths
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -218,6 +219,20 @@ class TestExperiment:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_second_run_names_each_reused_record_once(self, tiny_dataset, weight_files,
+                                                      tmp_path, capsys):
+        out = tmp_path / "exp"
+        args = experiment_args(tiny_dataset, weight_files, out) + ["--folds", "2"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err
+        records = sorted((out / "cache").glob("result_*.json"))
+        assert len(records) == 8
+        for record in records:
+            assert err.count(f"reused result record {record}\n") == 1
+        assert err.count("loaded cached base features") == 1
+
     @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
     def test_bad_result_record_is_data_error(self, damage, tiny_dataset, weight_files,
                                              tmp_path, capsys):
@@ -296,6 +311,90 @@ class TestConfigValues:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert "test-per-class" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+# the options each command took before it took only those it reads
+REMOVED_OPTIONS = {
+    "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
+    "extract": ("--seed",),
+    "train": ("--object-weights", "--scene-weights", "--pool", "--feature-type"),
+    "eval": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
+    "experiment": ("--pool",),
+    "validate-weights": ("--object-weights", "--scene-weights", "--pool", "--feature-type",
+                         "--seed", "--out"),
+    "bench": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--out"),
+}
+
+
+class TestOptionSurface:
+    @pytest.fixture()
+    def valid_args(self, sample_image, tiny_dataset, weight_files, cache_path, tmp_path):
+        """A run of each command that succeeds, writing only under tmp_path/out."""
+        from scenefuse.classifier import save_model, train_ovr
+
+        y, _, X = load_cache(cache_path)
+        model = tmp_path / "model.hdfm"
+        save_model(train_ovr(X, y, 1), str(model))
+        out = str(tmp_path / "out")
+        return {
+            "slice": ["slice", sample_image, "--out", out],
+            "extract": ["extract", "--dataset", str(tiny_dataset[0]), "--object-weights",
+                        weight_files[0], "--scene-weights", weight_files[1], "--out", out],
+            "train": ["train", "--features", cache_path, "--folds", "2", "--out", out],
+            "eval": ["eval", "--model", str(model), "--features", cache_path, "--out", out],
+            "experiment": experiment_args(tiny_dataset, weight_files, out)
+            + ["--folds", "2", "--feature-type", "ow"],
+            "validate-weights": ["validate-weights", weight_files[0], "--trunk", "any"],
+            "bench": ["bench", "--channels-in", "2", "--height", "8", "--width", "8",
+                      "--channels-out", "2", "--repeats", "1"],
+        }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in REMOVED_OPTIONS.items()
+        for option in options])
+    def test_removed_option_is_config_error(self, command, option, source, valid_args,
+                                            weight_files, tmp_path, capsys):
+        values = {"--object-weights": weight_files[0], "--scene-weights": weight_files[1],
+                  "--pool": "max", "--feature-type": "ow", "--seed": 1,
+                  "--out": str(tmp_path / "out")}
+        args = list(valid_args[command])
+        key = option[2:].replace("-", "_")
+        if source == "flag":
+            args += [option, str(values[option])]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: values[option]}))
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (option if source == "flag" else repr(key)) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--channels-in", "0"), ("--height", "0"), ("--width", "0"),
+        ("--channels-out", "0"), ("--repeats", "-2")])
+    def test_bench_size_below_one_is_config_error(self, option, value, capsys):
+        assert cli.main(["bench", option, value]) == cli.EXIT_CONFIG
+        assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(REMOVED_OPTIONS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        assert f"usage: scenefuse {command}" in capsys.readouterr().out
+
+    def test_readme_lists_each_commands_options(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        documented = {m[1]: set(re.findall(r"`([^`]+)`", m[2])) | {"--config", "--threads"}
+                      for m in re.finditer(r"^- `([a-z-]+)`: (.*(?:\n  .*)*)", section, re.M)}
+        parsed = {name: {a.option_strings[0] if a.option_strings else a.dest
+                         for a in command._actions if a.dest != "help"}
+                  for name, command in cli.commands(cli.build_parser()).items()}
+        assert documented == parsed
 
 
 class TestValidateWeights:

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -100,22 +101,8 @@ class TestBaseFeatures:
         monkeypatch.setattr(experiment, "EXTRACTION_VERSION", experiment.EXTRACTION_VERSION + 1)
         assert backend_digest(stub_pair[0]) != before
 
-    @pytest.mark.parametrize("touched", [False, True])
-    def test_an_image_newer_than_the_cache_is_reextracted(
-            self, touched, tiny_dataset, stub_pair, tmp_path, monkeypatch, caplog):
-        root, _ = tiny_dataset
-        shutil.copytree(root, tmp_path / "data")
-        manifest = scan_dataset(str(tmp_path / "data"))
-        cache_dir = tmp_path / "cache"
-        first, _, paths = compute_base_features(manifest, *stub_pair, str(cache_dir))
-        # the caches were written 2 s ago; one image was touched 1 s after (or before) that
-        now = max(p.stat().st_mtime_ns for p in cache_dir.iterdir())
-        for cache_file in cache_dir.iterdir():
-            os.utime(cache_file, ns=(now - 2 * 10**9,) * 2)
-        victim = paths[7]
-        stamp = now - (1 if touched else 3) * 10**9
-        os.utime(victim, ns=(stamp, stamp))
-
+    @staticmethod
+    def count_extractions(monkeypatch):
         calls = []
         original = experiment.extract_dataset
 
@@ -124,14 +111,41 @@ class TestBaseFeatures:
             return original(*args)
 
         monkeypatch.setattr(experiment, "extract_dataset", counting)
+        return calls
+
+    @pytest.mark.parametrize("shift_s", [-3600, 1], ids=["earlier", "later"])
+    def test_a_changed_image_is_reextracted_once(
+            self, shift_s, tiny_dataset, stub_pair, tmp_path, monkeypatch, caplog):
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        manifest = scan_dataset(str(tmp_path / "data"))
+        cache_dir = str(tmp_path / "cache")
+        first, _, paths = compute_base_features(manifest, *stub_pair, cache_dir)
+        victim = paths[7]
+        stamp = os.stat(victim).st_mtime_ns + shift_s * 10**9
+        os.utime(victim, ns=(stamp, stamp))
+
+        calls = self.count_extractions(monkeypatch)
         with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
-            again, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
-        assert len(calls) == touched
-        assert (victim in caplog.text) == touched
+            again, _, _ = compute_base_features(manifest, *stub_pair, cache_dir)
+        assert len(calls) == 1 and victim in caplog.text
         for s in SOURCES:
             assert np.array_equal(first[s], again[s])
-        compute_base_features(manifest, *stub_pair, str(cache_dir))
-        assert len(calls) == touched  # the rewritten caches are newer than the image
+        compute_base_features(manifest, *stub_pair, cache_dir)
+        assert len(calls) == 1  # the rewritten caches recorded the new mtime
+
+    def test_a_future_dated_image_is_extracted_once(self, tiny_dataset, stub_pair,
+                                                     tmp_path, monkeypatch):
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        manifest = scan_dataset(str(tmp_path / "data"))
+        victim = manifest.flat_paths_labels()[0][3]
+        stamp = time.time_ns() + 3600 * 10**9  # an hour ahead of every cache write
+        os.utime(victim, ns=(stamp, stamp))
+        calls = self.count_extractions(monkeypatch)
+        for _ in range(3):
+            compute_base_features(manifest, *stub_pair, str(tmp_path / "cache"))
+        assert len(calls) == 1
 
     def test_one_image_positional_call(self, tiny_dataset, stub_pair):
         # the shape in which the extraction benchmark calls it, image by image
