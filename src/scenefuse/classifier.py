@@ -16,10 +16,9 @@ axes, every product with the rows is one matrix product for all of them,
 the CG and Armijo scalars are kept per problem, and a per-row cost of zero
 leaves a row out of a problem. Every problem is computed at every step; one
 that has converged or stalled is frozen by masking, so each follows the
-iterations it would follow alone. `train_binary` is a one-problem call,
-`train_ovr` a K-problem call (one model per class versus the rest), and
-`grid_search_c` one call per cost over every (fold, class) pair,
-warm-started from the previous cost.
+iterations it would follow alone. `train_ovr` is a K-problem call (one
+model per class versus the rest), and `grid_search_c` one call per cost
+over every (fold, class) pair, warm-started from the previous cost.
 
 When the rows are fewer (N) than the dimensions (D), the problems are
 solved in their row space: each optimum satisfies w = X^T a, so with the
@@ -239,34 +238,6 @@ def _check_training_inputs(X: np.ndarray, labels: np.ndarray, c: float):
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"cost parameter must be positive, got {c}")
     return X, labels
-
-
-def train_binary(
-    X: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    tol: float = DEFAULT_TOL,
-    init: tuple[np.ndarray, float] | None = None,
-    history: list | None = None,
-) -> tuple[np.ndarray, float]:
-    """Fit one binary model (labels -1 or +1); returns (w, b).
-
-    `init` warm-starts the solver. If `history` is a list, the objective
-    value after each accepted iteration is appended to it.
-    """
-    X, y = _check_training_inputs(X, y, c)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    w, b = np.zeros(X.shape[1]), 0.0
-    if init is not None:
-        w, b = np.asarray(init[0], dtype=np.float64), float(init[1])
-        if w.shape != (X.shape[1],):
-            raise ValueError(f"warm start has dim {w.shape}, expected ({X.shape[1]},)")
-    values = None if history is None else []
-    w, b = train_stack(X, y.astype(np.float64), float(c), w, b, tol=tol, history=values)
-    if history is not None:
-        history.extend(float(v) for v in values)
-    return w, float(b)
 
 
 # ---------------------------------------------------------------------------

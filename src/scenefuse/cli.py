@@ -97,10 +97,6 @@ _OPTIONS = {
     "files": {"nargs": "+", "help": "HDFW weight files"},
     "--trunk": {"choices": ("vgg16", "any"), "default": "vgg16",
                 "help": "architecture to validate against (default %(default)s)"},
-    "--channels-in": {"type": _at_least(1), "default": 64},
-    "--height": {"type": _at_least(1), "default": 224},
-    "--width": {"type": _at_least(1), "default": 224},
-    "--channels-out": {"type": _at_least(1), "default": 64},
     "--repeats": {"type": _at_least(1), "default": 3},
 }
 
@@ -405,8 +401,7 @@ def cmd_bench(args) -> int:
     from .engine import benchmark_conv2d
     from .pipeline import benchmark_delta_forwards
 
-    result = benchmark_conv2d(channels_in=args.channels_in, height=args.height, width=args.width,
-                              channels_out=args.channels_out, repeats=args.repeats, seed=args.seed)
+    result = benchmark_conv2d(repeats=args.repeats, seed=args.seed)
     delta = result["delta_forwards"] = benchmark_delta_forwards(seed=args.seed)
     print(json.dumps(result, indent=2, sort_keys=True))
     print(f"optimized {result['optimized_seconds'] * 1000:.1f} ms vs naive "
@@ -435,10 +430,10 @@ _COMMANDS = {
     "validate-weights": (cmd_validate_weights, "check HDFW files load and match a trunk",
                          ("files", "--trunk")),
     "bench": (cmd_bench, "time optimized conv2d (im2col + sgemm over blocks of output rows, "
-              "~4 MiB of columns each) against the direct reference, and one rect/circ pair "
-              "and one tri slice through the delta forwards against full VGG16 forwards",
-              ("--channels-in", "--height", "--width", "--channels-out", "--repeats",
-               "--seed")),
+              "~4 MiB of columns each) against the direct reference at VGG16's conv2 shape "
+              "(64 to 64 channels, 224x224), and one rect/circ pair and one tri slice "
+              "through the delta forwards against full VGG16 forwards",
+              ("--repeats", "--seed")),
 }
 
 

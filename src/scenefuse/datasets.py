@@ -192,7 +192,9 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
     """Restore a plan from JSON, resolving paths back to class indices.
 
     This is how an externally supplied (e.g. official) split list is fed
-    into the harness. A file not in `save_split`'s layout raises DatasetError.
+    into the harness. A file not in `save_split`'s layout, or one that names
+    a class or image the manifest lacks, or lists an image twice in one
+    repetition's train and test, raises DatasetError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -212,9 +214,13 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
         for class_name, paths in manifest.classes
     }
     reps = []
-    for rep in repetitions:
+    for r, rep in enumerate(repetitions):
+        unknown = sorted((set(rep["train"]) | set(rep["test"])) - set(position))
+        if unknown:
+            raise DatasetError(f"{path}: repetition {r} names class {unknown[0]!r}, "
+                               "which the dataset does not have")
         per_class = []
-        for class_name, _ in manifest.classes:
+        for class_name, class_paths in manifest.classes:
             entry = []
             for part in ("train", "test"):
                 listed = rep[part].get(class_name, [])
@@ -225,7 +231,13 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
                         f"{path}: split references unknown image {exc.args[0]!r} "
                         f"in class {class_name!r}"
                     ) from None
-            per_class.append((entry[0], entry[1]))
+            train, test = entry
+            both = train + test
+            if len(set(both)) < len(both):
+                repeated = next(i for k, i in enumerate(both) if i in both[:k])
+                raise DatasetError(f"{path}: repetition {r} lists image "
+                                   f"{class_paths[repeated]!r} more than once in train and test")
+            per_class.append((train, test))
         reps.append(tuple(per_class))
     return SplitPlan(dataset=doc.get("dataset", manifest.name),
                      seed=doc.get("seed", 0), repetitions=tuple(reps))

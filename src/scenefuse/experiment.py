@@ -144,8 +144,19 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
     return os.path.join(cache_dir, f"{dataset}_{source}_{digest}.hdfc")
 
 
+def _stamp(path: str) -> list[int] | None:
+    """An image's [size, mtime_ns], or None if it cannot be stat'ed. A None
+    stamp misses the cache, so `extract_dataset` reports that image's read
+    with every other one that fails."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return [st.st_size, st.st_mtime_ns]
+
+
 def _try_load_base(cache_paths, paths, labels, stamps):
-    if not all(map(os.path.isfile, cache_paths.values())):
+    if None in stamps or not all(map(os.path.isfile, cache_paths.values())):
         return None
     mats = {}
     for source, path in cache_paths.items():
@@ -212,7 +223,7 @@ def compute_base_features(
         cache_paths = {s: _cache_path(cache_dir, manifest.name, s, backend_digest(
             object_backend if s in ("op", "ow") else scene_backend)) for s in sources}
         # taken before extraction, so an image changed while it runs is seen next time
-        stamps = [[st.st_size, st.st_mtime_ns] for st in map(os.stat, paths)]
+        stamps = [_stamp(path) for path in paths]
         cached = _try_load_base(cache_paths, paths, labels, stamps)
         if cached is not None:
             return cached, labels, paths

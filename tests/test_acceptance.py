@@ -107,7 +107,7 @@ def test_dimensional_contract(rng):
 @pytest.mark.criterion(5, "classifier: gradients, separable blobs, brute-force objective")
 def test_classifier_correctness():
     from scenefuse.classifier import (evaluate, gradient, objective,
-                                      train_binary, train_ovr)
+                                      train_ovr, train_stack)
 
     # gradient vs central finite differences on 50 random configurations
     worst = 0.0
@@ -144,7 +144,7 @@ def test_classifier_correctness():
     # converged objective within 1e-3 of the brute-force oracle
     X4 = np.array([[1.2, 0.1], [0.2, 1.0], [-1.0, -0.3], [-0.1, -1.1]])
     y4 = np.array([1.0, 1.0, -1.0, -1.0])
-    w, b = train_binary(X4, y4, 2.0, tol=1e-8)
+    w, b = train_stack(X4, y4, 2.0, np.zeros(2), 0.0, tol=1e-8)
     brute = logreg_brute_force(X4, y4, 2.0, dim=2, seed=1)
     assert abs(objective(w, b, X4, y4, 2.0) - brute) <= 1e-3
 

@@ -7,7 +7,7 @@ from scenefuse import classifier
 from scenefuse.classifier import (
     C_GRID, LinearModel, ModelBadMagicError, ModelFileError, ModelTruncatedError,
     decision_values, evaluate, gradient, grid_search_c, load_model, objective,
-    predict, save_model, stratified_folds, train_binary, train_ovr, train_stack,
+    predict, save_model, stratified_folds, train_ovr, train_stack,
 )
 
 import oracles
@@ -36,6 +36,11 @@ def descriptors(rng, k=3, per_class=7, dim=64, noise=1.5):
     return X / np.linalg.norm(X, axis=1, keepdims=True), y
 
 
+def fit(X, y, c, **kwargs):
+    """One binary problem (labels -1 or +1) through `train_stack`, from zero."""
+    return train_stack(X, y, c, np.zeros(X.shape[1]), 0.0, **kwargs)
+
+
 def relative_gap(w, b, w_ref, b_ref):
     """Distance between two (w, b), relative to the reference, or absolute below norm 1."""
     ref = np.append(w_ref, b_ref)
@@ -52,7 +57,7 @@ class TestBinarySolver:
     def test_separable_reaches_full_accuracy(self, rng):
         X, y = blobs(rng, k=2)
         y = np.where(y == 0, 1.0, -1.0)
-        w, b = train_binary(X, y, 10.0)
+        w, b = fit(X, y, 10.0)
         assert (np.sign(X @ w + b) == y).all()
 
     def test_gradient_matches_finite_differences(self):
@@ -90,7 +95,7 @@ class TestBinarySolver:
         X = np.array([[1.2, 0.1], [0.2, 1.0], [-1.0, -0.3], [-0.1, -1.1]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         c = 2.0
-        w, b = train_binary(X, y, c, tol=1e-8)
+        w, b = fit(X, y, c, tol=1e-8)
         ours = objective(w, b, X, y, c)
         brute = logreg_brute_force(X, y, c, dim=2, seed=0)
         assert abs(ours - brute) <= 1e-3
@@ -99,7 +104,7 @@ class TestBinarySolver:
         X, y = blobs(rng, k=2, noise=2.0)
         y = np.where(y == 0, 1.0, -1.0)
         history = []
-        train_binary(X, y, 5.0, history=history)
+        fit(X, y, 5.0, history=history)
         assert len(history) >= 2
         assert all(later <= earlier + 1e-12
                    for earlier, later in zip(history, history[1:]))
@@ -109,7 +114,7 @@ class TestBinarySolver:
         y = np.where(y == 0, 1.0, -1.0)
         norms = []
         for c in (0.01, 0.1, 1.0, 10.0):
-            w, _ = train_binary(X, y, c, tol=1e-8)
+            w, _ = fit(X, y, c, tol=1e-8)
             norms.append(np.linalg.norm(w))
         assert all(a < b + 1e-9 for a, b in zip(norms, norms[1:]))
 
@@ -117,8 +122,8 @@ class TestBinarySolver:
         X, y = blobs(rng, k=2, noise=1.0, dim=5)
         y = np.where(y == 0, 1.0, -1.0)
         shift = rng.normal(0, 3, 5)
-        w1, b1 = train_binary(X, y, 4.0, tol=1e-9)
-        w2, b2 = train_binary(X + shift, y, 4.0, tol=1e-9)
+        w1, b1 = fit(X, y, 4.0, tol=1e-9)
+        w2, b2 = fit(X + shift, y, 4.0, tol=1e-9)
         d1 = X @ w1 + b1
         d2 = (X + shift) @ w2 + b2
         assert np.max(np.abs(d1 - d2)) <= 1e-3
@@ -128,17 +133,16 @@ class TestBinarySolver:
         lambda X, y: (X * np.nan, y),                   # non-finite
     ])
     def test_degenerate_inputs_rejected(self, bad, rng):
+        # every entry point checks its inputs in `_check_training_inputs`
         X, y = blobs(rng, k=2)
-        y = np.where(y == 0, 1.0, -1.0)
         X2, y2 = bad(X, y)
         with pytest.raises(ValueError):
-            train_binary(X2, y2, 1.0)
+            train_ovr(X2, y2, 1)
 
     def test_nonpositive_cost_rejected(self, rng):
         X, y = blobs(rng, k=2)
-        y = np.where(y == 0, 1.0, -1.0)
         with pytest.raises(ValueError, match="positive"):
-            train_binary(X, y, 0.0)
+            train_ovr(X, y, 0)
 
 
 class TestOneVsRest:
@@ -151,7 +155,7 @@ class TestOneVsRest:
         X, y = blobs(rng, k=2, noise=3.0)
         model = train_ovr(X, y, 3)
         y_signed = np.where(y == 1, 1.0, -1.0)
-        w, b = train_binary(X, y_signed, 3.0)
+        w, b = fit(X, y_signed, 3.0)
         sign_pred = np.where(X @ w + b > 0, 1, 0)
         assert np.array_equal(predict(model, X), sign_pred)
 
@@ -231,7 +235,7 @@ class TestStackedSolver:
     def test_converged_problem_comes_back_unchanged(self, rng):
         X, y = blobs(rng, k=2, per_class=10, dim=5, noise=2.0)
         y = np.where(y == 0, 1.0, -1.0)
-        w, b = train_binary(X, y, 3.0, tol=1e-10)
+        w, b = fit(X, y, 3.0, tol=1e-10)
         # problem 0 starts at its optimum and is frozen at once; problem 1 starts cold
         ws, bs = train_stack(X, y, 3.0, np.stack([w, np.zeros(5)]), np.array([b, 0.0]))
         assert np.array_equal(ws[0], w) and bs[0] == b

@@ -246,6 +246,25 @@ class TestExperiment:
         assert cli.main(args) == cli.EXIT_DATA
         assert f"data error: {record}" in capsys.readouterr().err
 
+    def test_leaky_split_file_is_data_error(self, tiny_dataset, weight_files, tmp_path,
+                                            capsys):
+        from scenefuse.datasets import (SplitProtocol, make_split, save_split,
+                                        scan_dataset)
+
+        manifest = scan_dataset(str(tiny_dataset[0]))
+        split = tmp_path / "split.json"
+        save_split(make_split(manifest, SplitProtocol("fixed_per_class", 4, 2, 1, seed=0)),
+                   manifest, str(split))
+        doc = json.loads(split.read_text())
+        leaked = doc["repetitions"][0]["train"]["class_00"][0]
+        doc["repetitions"][0]["test"]["class_00"].append(leaked)
+        split.write_text(json.dumps(doc))
+        out = tmp_path / "exp"
+        args = experiment_args(tiny_dataset, weight_files, out) + ["--split-file", str(split)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert f"repetition 0 lists image {leaked!r}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
         root, _ = tiny_dataset
@@ -313,7 +332,8 @@ class TestConfigValues:
         assert list(out.iterdir()) == []
 
 
-# the options each command took before it took only those it reads
+# the options each command once took and takes no longer: those it did not read,
+# and bench's shape flags (bench times one fixed shape)
 REMOVED_OPTIONS = {
     "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
     "extract": ("--seed",),
@@ -322,7 +342,8 @@ REMOVED_OPTIONS = {
     "experiment": ("--pool",),
     "validate-weights": ("--object-weights", "--scene-weights", "--pool", "--feature-type",
                          "--seed", "--out"),
-    "bench": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--out"),
+    "bench": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--out",
+              "--channels-in", "--height", "--width", "--channels-out"),
 }
 
 
@@ -345,8 +366,7 @@ class TestOptionSurface:
             "experiment": experiment_args(tiny_dataset, weight_files, out)
             + ["--folds", "2", "--feature-type", "ow"],
             "validate-weights": ["validate-weights", weight_files[0], "--trunk", "any"],
-            "bench": ["bench", "--channels-in", "2", "--height", "8", "--width", "8",
-                      "--channels-out", "2", "--repeats", "1"],
+            "bench": ["bench", "--repeats", "1"],
         }
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -357,7 +377,8 @@ class TestOptionSurface:
                                             weight_files, tmp_path, capsys):
         values = {"--object-weights": weight_files[0], "--scene-weights": weight_files[1],
                   "--pool": "max", "--feature-type": "ow", "--seed": 1,
-                  "--out": str(tmp_path / "out")}
+                  "--out": str(tmp_path / "out"), "--channels-in": 2, "--height": 8,
+                  "--width": 8, "--channels-out": 2}
         args = list(valid_args[command])
         key = option[2:].replace("-", "_")
         if source == "flag":
@@ -371,9 +392,7 @@ class TestOptionSurface:
         assert (option if source == "flag" else repr(key)) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option, value", [
-        ("--channels-in", "0"), ("--height", "0"), ("--width", "0"),
-        ("--channels-out", "0"), ("--repeats", "-2")])
+    @pytest.mark.parametrize("option, value", [("--repeats", "-2")])
     def test_bench_size_below_one_is_config_error(self, option, value, capsys):
         assert cli.main(["bench", option, value]) == cli.EXIT_CONFIG
         assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
@@ -486,10 +505,9 @@ class TestBenchAndConfig:
             return original(spec, bundle, image, zero)
 
         monkeypatch.setattr(pipeline, "forward_delta_to_pool5", watched)
-        rc = cli.main(["bench", "--channels-in", "2", "--height", "16",
-                       "--width", "16", "--channels-out", "2", "--repeats", "1"])
-        assert rc == 0
+        assert cli.main(["bench", "--repeats", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["shape"] == [64, 224, 224, 64]
         assert doc["speedup"] > 0
         assert doc["max_relative_deviation"] <= 1e-5
         delta = doc["delta_forwards"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,25 @@ class TestSplitFiles:
         other = fake_manifest(classes=2, per_class=6, name="other")
         with pytest.raises(DatasetError, match="unknown image"):
             load_split(str(path), other)
+
+    @pytest.mark.parametrize("leak", ["train_and_test", "twice_in_test", "unknown_class"])
+    def test_leaky_split_names_what_and_where(self, leak, tmp_path):
+        manifest = fake_manifest(classes=2, per_class=6)
+        plan = make_split(manifest, SplitProtocol("repeated_random", 3, 2, 2, seed=0))
+        path = tmp_path / "split.json"
+        save_split(plan, manifest, str(path))
+        doc = json.loads(path.read_text())
+        rep = doc["repetitions"][1]
+        if leak == "train_and_test":
+            named = rep["train"]["c0"][0]
+            rep["test"]["c0"].append(named)
+        elif leak == "twice_in_test":
+            named = rep["test"]["c1"][-1]
+            rep["test"]["c1"].append(named)
+        else:
+            named = "c9"
+            rep["train"][named] = ["/fake/c9/0.ppm"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="repetition 1") as err:
+            load_split(str(path), manifest)
+        assert repr(named) in str(err.value)

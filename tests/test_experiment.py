@@ -11,7 +11,8 @@ from conftest import watch_forwards
 from corruption import RECORD_DAMAGE
 from scenefuse import cache, experiment
 from scenefuse.cache import CacheFileError
-from scenefuse.datasets import REPEATED_RANDOM, DatasetManifest, SplitProtocol, scan_dataset
+from scenefuse.datasets import (REPEATED_RANDOM, DatasetError, DatasetManifest, SplitProtocol,
+                                 scan_dataset)
 from scenefuse.experiment import (
     FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
     extract_dataset, format_table, run_experiment, tune_cost,
@@ -146,6 +147,25 @@ class TestBaseFeatures:
         for _ in range(3):
             compute_base_features(manifest, *stub_pair, str(tmp_path / "cache"))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cache", [None, "cold", "warm"])
+    def test_missing_images_are_named_together(self, cache, tiny_dataset, stub_pair,
+                                                tmp_path):
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        manifest = scan_dataset(str(tmp_path / "data"))
+        cache_dir = tmp_path / "cache"
+        if cache == "warm":
+            compute_base_features(manifest, *stub_pair, str(cache_dir))
+        before = {p.name: p.read_bytes() for p in cache_dir.glob("*")}
+        paths, _ = manifest.flat_paths_labels()
+        gone = [paths[2], paths[9]]
+        for path in gone:
+            os.remove(path)
+        with pytest.raises(DatasetError, match="2 of 18 images") as err:
+            compute_base_features(manifest, *stub_pair, None if cache is None else str(cache_dir))
+        assert all(path in str(err.value) for path in gone)
+        assert {p.name: p.read_bytes() for p in cache_dir.glob("*")} == before
 
     def test_one_image_positional_call(self, tiny_dataset, stub_pair):
         # the shape in which the extraction benchmark calls it, image by image
