@@ -1,16 +1,52 @@
-"""The one reader behind the HDFW and HDFC loaders.
+"""The package's file access: every JSON file is read by `read_json`, every
+file is written by `write_file`, and `BoundedReader` is the one reader
+behind the HDFW and HDFC loaders.
 
-It reads straight from the open file. A field's length is checked against
-the bytes left before anything is allocated, so a corrupted length never
-sizes an allocation, and arrays are read into their final buffer.
+`BoundedReader` reads straight from the open file. A field's length is
+checked against the bytes left before anything is allocated, so a
+corrupted length never sizes an allocation, and arrays are read into their
+final buffer. numpy loads only in `f32s`, so that the command line can read
+its config file before ``--threads`` pins the BLAS pools.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
-import numpy as np
+
+def read_json(path: str, error: type[Exception]) -> dict:
+    """The JSON object in the UTF-8 file at `path`. Bytes that do not decode,
+    bad JSON or a value that is not an object raise `error`; OSError passes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSON and UTF-8 decoding errors alike
+        raise error(f"{path}: not a JSON object: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
+def write_file(path: str, chunks) -> None:
+    """Write each bytes-like chunk to a temporary file, then rename it over
+    `path`: an interrupted write leaves the previous file, or none."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_json(path: str, doc) -> None:
+    """Write `doc` as indented, key-sorted JSON ending in a newline."""
+    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 class BoundedReader:
@@ -42,6 +78,8 @@ class BoundedReader:
 
     def f32s(self, count: int, what: str) -> np.ndarray:
         """`count` little-endian float32 values, read into a fresh array."""
+        import numpy as np
+
         self.need(4 * count, what)
         return self.read_into(np.empty(count, dtype="<f4"), what)
 

@@ -17,19 +17,17 @@ image path. Little-endian layout::
 
 A record is a small JSON object: a result record holds the plain fields
 of its key and the results they produced, a stamps record the images of
-an ``HDFC`` cache (see ``experiment``). Both kinds of file are written
-under a temporary name and renamed over the target.
+an ``HDFC`` cache (see ``experiment``). Every file here is written through
+``binfile.write_file``: under a temporary name, then renamed over the target.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import struct
 
 import numpy as np
 
-from .binfile import BoundedReader
+from .binfile import BoundedReader, read_json, write_file, write_json
 
 MAGIC = b"HDFC"
 FORMAT_VERSION = 1
@@ -57,19 +55,6 @@ class CacheDimensionError(CacheFileError):
     """Cache feature dimension differs from what the consumer expects."""
 
 
-def _write_atomic(path: str, write) -> None:
-    """Call `write(fh)` on a temporary file, then rename it over `path`:
-    an interrupted write leaves the previous file, or none."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
     """Write each row of `matrix`, from its buffer, with its label and path."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
@@ -77,21 +62,19 @@ def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
         raise CacheDimensionError(f"{len(labels)} labels and {len(paths)} paths for a "
                                   f"matrix of shape {matrix.shape}; need one per row")
 
-    def write(fh):
-        fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1],
-                                     matrix.shape[0]))
+    def chunks():
+        yield MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1], matrix.shape[0])
         for label, rec_path, row in zip(labels, paths, matrix):
             encoded = rec_path.encode("utf-8")
-            fh.write(struct.pack("<II", int(label), len(encoded)) + encoded)
-            fh.write(row)
+            yield struct.pack("<II", int(label), len(encoded)) + encoded
+            yield row
 
-    _write_atomic(path, write)
+    write_file(path, chunks())
 
 
 def save_record(path: str, fields: dict, results: dict) -> None:
     """Write a record: its key's plain `fields` and its `results`."""
-    doc = json.dumps({**fields, **results}, sort_keys=True).encode()
-    _write_atomic(path, lambda fh: fh.write(doc))
+    write_json(path, {**fields, **results})
 
 
 def load_record(path: str, fields: dict, result_names) -> dict | None:
@@ -99,14 +82,9 @@ def load_record(path: str, fields: dict, result_names) -> dict | None:
     if there is none. A record that does not parse, lacks a field or holds
     other `fields` than the caller's raises CacheFileError."""
     try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read())
+        doc = read_json(path, CacheFileError)
     except FileNotFoundError:
         return None
-    except ValueError as exc:  # JSON and UTF-8 decoding errors alike
-        raise CacheFileError(f"{path}: not a JSON record: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CacheFileError(f"{path}: not a JSON record: not a JSON object")
     missing = [name for name in (*fields, *result_names) if name not in doc]
     if missing:
         raise CacheFileError(f"{path}: record lacks {', '.join(missing)}")

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import write_file
+
 C_GRID = tuple(range(1, 101))
 DEFAULT_TOL = 1e-4
 MAX_ITER = 1000
@@ -215,15 +217,6 @@ def _newton_direction(X, d, grad_w, grad_b, gnorm, gnorm0, active, max_cg):
     return z_w, z_b
 
 
-def _row_space(X: np.ndarray):
-    """(Q, X Q) with Q an orthonormal basis of the rows of X when X has fewer
-    rows than columns (thin QR X^T = QR, so X Q = R^T); (None, X) otherwise."""
-    if X.shape[0] >= X.shape[1]:
-        return None, X
-    q, r = np.linalg.qr(X.T)
-    return q, np.ascontiguousarray(r.T)
-
-
 def _check_training_inputs(X: np.ndarray, labels: np.ndarray, c: float):
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -285,7 +278,10 @@ def train_ovr(X: np.ndarray, labels: np.ndarray, c: float) -> LinearModel:
         raise ValueError(f"one-vs-rest training uses integer costs, got {c}")
     X, labels = _check_training_inputs(X, labels, c)
     class_ids = np.unique(labels)
-    basis, A = _row_space(X)
+    basis, A = None, X
+    if X.shape[0] < X.shape[1]:  # rows in the basis Q of their span: X^T = QR, X Q = R^T
+        basis, r = np.linalg.qr(X.T)
+        A = np.ascontiguousarray(r.T)
     z, b = train_stack(A, _one_vs_rest(labels, class_ids), float(c),
                        np.zeros((class_ids.size, A.shape[1])), np.zeros(class_ids.size),
                        max_cg=min(X.shape[1] + 1, 250))
@@ -383,7 +379,9 @@ def grid_search_c(
     X, labels = _check_training_inputs(X, labels, min(c_values))
     assignment = stratified_folds(labels, folds, seed)
     class_ids = np.unique(labels)
-    _, A = _row_space(X)
+    A = X
+    if X.shape[0] < X.shape[1]:  # X Q = R^T as in train_ovr; Q itself is never formed
+        A = np.ascontiguousarray(np.linalg.qr(X.T, mode="r").T)
     y = _one_vs_rest(labels, class_ids)
     trains = (assignment != np.arange(folds)[:, None])[:, None, :]  # (F, 1, N)
     held_out = np.bincount(assignment, minlength=folds).tolist()
@@ -424,8 +422,7 @@ def save_model(model: LinearModel, path: str) -> None:
     for k, cls in enumerate(model.class_ids):
         floats = " ".join(repr(float(v)) for v in model.weights[k])
         lines.append(f"class {cls} {repr(float(model.biases[k]))} {floats}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, [("\n".join(lines) + "\n").encode()])
 
 
 def load_model(path: str) -> LinearModel:

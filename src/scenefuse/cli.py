@@ -24,8 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+
+from .binfile import read_json, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,12 +125,9 @@ def commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPars
 def _read_config(path: str, command: argparse.ArgumentParser) -> dict:
     """A config file's values, each checked against `command`'s option of that dest."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 decoding errors
+        cfg = read_json(path, CliConfigError)
+    except OSError as exc:
         raise CliConfigError(f"config file {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise CliConfigError(f"config file {path} must hold a JSON object")
     options = {a.dest: a for a in command._actions
                if a.option_strings and a.dest not in ("help", "config")}
     unknown = sorted(set(cfg) - set(options))
@@ -218,8 +218,8 @@ def cmd_slice(args) -> int:
         fill = tuple(float(v) for v in args.fill.split(","))
     except ValueError:
         raise CliConfigError(f"--fill must be R,G,B numbers, got {args.fill!r}") from None
-    if len(fill) != 3:
-        raise CliConfigError(f"--fill must have 3 components, got {args.fill!r}")
+    if len(fill) != 3 or not all(map(math.isfinite, fill)):
+        raise CliConfigError(f"--fill must be 3 finite components, got {args.fill!r}")
 
     working = resize_to_working(read_raster(image_path))
     masks = all_masks(working.shape[1])
@@ -286,14 +286,9 @@ def cmd_train(args) -> int:
     model_path = os.path.join(out_dir, "model.hdfm")
     save_model(model, model_path)
     grid_path = os.path.join(out_dir, "grid_search.json")
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "c_values": list(report.c_values),
-            "mean_cv_accuracy": list(report.accuracies),
-            "chosen_c": report.chosen_c,
-            "folds": report.fold_count,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(grid_path, {"c_values": list(report.c_values), "chosen_c": report.chosen_c,
+                           "mean_cv_accuracy": list(report.accuracies),
+                           "folds": report.fold_count})
     print(f"chosen C={report.chosen_c} "
           f"(cv accuracy {max(report.accuracies) * 100:.2f}%)")
     print(f"wrote {model_path} and {grid_path}")
@@ -306,6 +301,8 @@ def cmd_eval(args) -> int:
 
     model_path = _require_file(args.model, "--model file")
     cache_path = _require_file(args.features, "--features cache")
+    if args.out:  # checked before any work, like every command's --out
+        _require_out(args)
     model = load_model(model_path)
     y, _, X = load_cache(cache_path, expect_dim=model.feature_dim)
     accuracy = evaluate(model, X, y)
@@ -314,9 +311,7 @@ def cmd_eval(args) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "eval.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "eval.json"), doc)
     return EXIT_OK
 
 

@@ -16,13 +16,13 @@ split list instead of a seeded one.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import read_json, write_json
 from .imageio import IMAGE_EXTENSIONS
 
 logger = logging.getLogger(__name__)
@@ -182,10 +182,7 @@ def save_split(plan: SplitPlan, manifest: DatasetManifest, path: str) -> None:
             train[class_name] = [paths[i] for i in train_idx]
             test[class_name] = [paths[i] for i in test_idx]
         reps.append({"train": train, "test": test})
-    doc = {"dataset": plan.dataset, "seed": plan.seed, "repetitions": reps}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"dataset": plan.dataset, "seed": plan.seed, "repetitions": reps})
 
 
 def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
@@ -196,12 +193,8 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
     a class or image the manifest lacks, or lists an image twice in one
     repetition's train and test, raises DatasetError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: not a JSON split file: {exc}") from None
-    repetitions = doc.get("repetitions") if isinstance(doc, dict) else None
+    doc = read_json(path, DatasetError)
+    repetitions = doc.get("repetitions")
     if not isinstance(repetitions, list) or type(doc.get("seed", 0)) is not int or not all(
             isinstance(rep, dict) and all(isinstance(rep.get(part), dict) and all(
                 isinstance(listed, list) and all(isinstance(p, str) for p in listed)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfile import write_json
 from .cache import RECORD_VERSION, CacheFileError, load_cache, load_record, save_cache, save_record
 from .classifier import (C_GRID, DEFAULT_TOL, MAX_ITER, GridSearchReport, evaluate,
                          grid_search_c, train_ovr)
@@ -122,9 +123,6 @@ class ExperimentReport:
                 for r in self.results
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def backend_digest(backend: Backend) -> str:
@@ -324,8 +322,8 @@ def run_experiment(
 
     Only the base descriptors the configurations use are extracted, so a
     backend none of them needs may be None. If `out_path` is given the
-    report JSON is written there, including a partial report
-    (complete=false) when a configuration fails mid-run. With a
+    report JSON is written there once, when the run ends or stops; it is
+    complete exactly when every configuration finished. With a
     `cache_dir`, each (configuration, repetition) is written there as a
     result record when it finishes and reused by any later run whose inputs
     hash the same, so a killed run resumes at its first unfinished pair.
@@ -346,18 +344,6 @@ def run_experiment(
     }
     results: list[ConfigResult] = []
     reused = 0
-
-    def build_report(complete: bool) -> ExperimentReport:
-        return ExperimentReport(
-            dataset=manifest.name,
-            seed=protocol.seed,
-            folds=folds,
-            protocol=protocol_doc,
-            results=tuple(results),
-            complete=complete,
-            reused=reused,
-        )
-
     try:
         for config in configs:
             X = config_matrix(base, config)
@@ -378,21 +364,14 @@ def run_experiment(
                 mean_accuracy=sum(per_rep) / len(per_rep),
                 chosen_c=tuple(chosen),
             ))
-    except Exception:
-        if out_path:  # flush what finished before propagating
-            _write_report(build_report(complete=False), out_path)
-        raise
-
-    report = build_report(complete=True)
-    if out_path:
-        _write_report(report, out_path)
+    finally:  # also on an error or an interrupt: what finished is written
+        report = ExperimentReport(
+            dataset=manifest.name, seed=protocol.seed, folds=folds, protocol=protocol_doc,
+            results=tuple(results), complete=len(results) == len(configs), reused=reused)
+        if out_path:
+            os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+            write_json(out_path, report.to_dict())
     return report
-
-
-def _write_report(report: ExperimentReport, path: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
 
 
 _AGG_LABELS = {"max": "Max", "mean": "Mean", "min": "Min", "concat": "Concat"}

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import write_file
+
 IMAGE_EXTENSIONS = (".ppm", ".pgm")
 
 
@@ -81,11 +83,8 @@ def read_raster(path: str) -> np.ndarray:
 
 
 def _write_netpbm(path: str, magic: bytes, arr: np.ndarray) -> None:
-    height, width = arr.shape[:2]
-    header = b"%s\n%d %d\n255\n" % (magic, width, height)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+    header = b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
+    write_file(path, [header, np.ascontiguousarray(arr, dtype=np.uint8)])
 
 
 def write_pgm(path: str, arr: np.ndarray) -> None:

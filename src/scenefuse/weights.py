@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import BoundedReader
+from .binfile import BoundedReader, write_file
 from .engine import NetworkSpec
 
 MAGIC = b"HDFW"
@@ -90,9 +90,7 @@ def save_weights(bundle: WeightBundle, path: str) -> None:
         name = entry.name.encode("utf-8")
         fields += [struct.pack("<I", len(name)) + name + struct.pack("<4I", *kernel.shape),
                    kernel, struct.pack("<I", bias.shape[0]), bias]
-    with open(path, "wb") as fh:
-        for field in fields:
-            fh.write(field)
+    write_file(path, fields)
 
 
 def load_weights(path: str) -> WeightBundle:

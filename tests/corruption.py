@@ -2,9 +2,11 @@
 
 A loader fed a truncated or bit-flipped file may only raise its own typed
 error: never a bare ValueError, a UnicodeDecodeError, or an allocation
-sized by a corrupted header.
+sized by a corrupted header. A writer whose file fills the disk midway
+must leave the previous file.
 """
 
+import errno
 import json
 import os
 import tempfile
@@ -53,3 +55,20 @@ RECORD_DAMAGE = {
     "other configuration": lambda text: json.dumps({**json.loads(text), "config": "OX"}),
     "C off the grid": lambda text: json.dumps({**json.loads(text), "chosen_c": 0}),
 }
+
+
+class DiskFull:
+    """An open file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")

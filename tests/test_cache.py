@@ -1,4 +1,3 @@
-import errno
 import struct
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import traced_peak
-from corruption import corruptions, load_bytes, saved_bytes
-from scenefuse import cache
+from corruption import DiskFull, corruptions, load_bytes, saved_bytes
+from scenefuse import binfile
 from scenefuse.cache import (
     CacheBadMagicError, CacheDimensionError, CacheFileError, CacheTruncatedError,
     CacheVersionError, load_cache, save_cache,
@@ -81,30 +80,13 @@ def test_count_past_the_file_end_allocates_nothing(records, tmp_path):
     assert peak < 64 * 1024
 
 
-class _DiskFull:
-    """An open file whose first write stores half its bytes, then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 @pytest.mark.parametrize("previous", [False, True])
 def test_failed_write_leaves_previous_file(records, tmp_path, monkeypatch, previous):
     path = tmp_path / "f.hdfc"
     if previous:
         save_cache(str(path), *records)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    monkeypatch.setattr(cache, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)),
+    monkeypatch.setattr(binfile, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
         save_cache(str(path), *(part[:3] for part in records))

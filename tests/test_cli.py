@@ -62,6 +62,15 @@ class TestSlice:
         assert rc == cli.EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fill", ["nan,0,0", "inf,0,0"])
+    def test_non_finite_fill_writes_nothing(self, fill, sample_image, tmp_path, capsys):
+        out = tmp_path / "slices"
+        out.mkdir()
+        rc = cli.main(["slice", sample_image, "--out", str(out), "--fill", fill])
+        assert rc == cli.EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        assert f"--fill must be 3 finite components, got {fill!r}" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_hdf_cache(self, tiny_dataset, weight_files, tmp_path):
@@ -150,6 +159,20 @@ class TestTrainEval:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["accuracy"] == 1.0
+
+    def test_eval_out_that_is_a_file_fails_first(self, cache_path, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert cli.main(["train", "--features", cache_path, "--out", str(model),
+                         "--folds", "3"]) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        rc = cli.main(["eval", "--model", str(model / "model.hdfm"),
+                       "--features", cache_path, "--out", str(taken)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(taken) in captured.err
+        assert taken.read_bytes() == b"not a directory"
 
     def test_eval_dim_mismatch_is_data_error(self, cache_path, tiny_dataset,
                                              weight_files, tmp_path):
@@ -544,11 +567,15 @@ class TestBenchAndConfig:
                        "--threads", "0"])
         assert rc == cli.EXIT_CONFIG
 
-    def test_parser_leaves_numpy_unloaded(self):
+    def test_parser_leaves_numpy_unloaded(self, tmp_path):
         # --threads pins the BLAS pools through the environment, which only
-        # works if numpy is not yet loaded when main applies it
+        # works if numpy is not yet loaded when main applies it, after the
+        # parser is built and the config file read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 1, "fill": "1,2,3"}))
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = ("import sys, scenefuse.cli; scenefuse.cli.build_parser(); "
+        code = ("import sys, scenefuse.cli as cli; parser = cli.build_parser(); "
+                f"cli._read_config({str(cfg)!r}, cli.commands(parser)['slice']); "
                 "sys.exit('numpy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
@@ -673,7 +700,17 @@ class TestExtractFailures:
         split.write_text(doc)
         args = experiment_args(tiny_dataset, weight_files, tmp_path / "exp")
         assert cli.main(args + ["--split-file", str(split)]) == cli.EXIT_DATA
-        assert f"data error: {split}: not a split file" in capsys.readouterr().err
+        message = "not a JSON object" if doc == "[]" else "not a split file"
+        assert f"data error: {split}: {message}" in capsys.readouterr().err
+
+    def test_split_file_not_utf8_is_data_error(self, tiny_dataset, weight_files, tmp_path,
+                                               capsys):
+        split = tmp_path / "split.json"
+        split.write_bytes(b'{"repetitions": "\xff\xfe"}')
+        args = experiment_args(tiny_dataset, weight_files, tmp_path / "exp")
+        assert cli.main(args + ["--split-file", str(split)]) == cli.EXIT_DATA
+        assert f"data error: {split}: not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "report.json").exists()
 
     def test_unreadable_slice_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ppm"

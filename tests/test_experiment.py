@@ -9,7 +9,7 @@ import pytest
 
 from conftest import watch_forwards
 from corruption import RECORD_DAMAGE
-from scenefuse import cache, experiment
+from scenefuse import binfile, experiment
 from scenefuse.cache import CacheFileError
 from scenefuse.datasets import (REPEATED_RANDOM, DatasetError, DatasetManifest, SplitProtocol,
                                  scan_dataset)
@@ -250,7 +250,7 @@ class TestRunExperiment:
         report, _ = run
         again = run_experiment(manifest, obj, scn, small_protocol,
                                folds=5, c_values=range(1, 11))
-        assert again.to_json() == report.to_json()
+        assert again.to_dict() == report.to_dict()
 
     def test_separable_dataset_classified_perfectly(self, run):
         report, _ = run
@@ -311,6 +311,26 @@ class TestRunExperiment:
         assert doc["complete"] is False
         assert len(doc["configurations"]) == 2  # the ones that finished
 
+    def test_partial_flush_on_interrupt(self, tiny_dataset, stub_pair, small_protocol,
+                                        tmp_path, monkeypatch):
+        _, manifest = tiny_dataset
+        out = tmp_path / "partial.json"
+        calls = []
+
+        def interrupt_on_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return tune_cost(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "tune_cost", interrupt_on_second)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(manifest, *stub_pair, small_protocol, configs=default_configs()[:3],
+                           folds=5, c_values=range(1, 4), out_path=str(out))
+        doc = json.loads(out.read_text())
+        assert doc["complete"] is False
+        assert [c["name"] for c in doc["configurations"]] == ["OP"]
+
     def test_table_rows(self, run):
         report, _ = run
         table = format_table(report)
@@ -357,7 +377,7 @@ class TestResultRecords:
         with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
             again = self.ablation(manifest, stub_pair, two_reps, tmp_path)
         assert calls == [] and again.reused == 16
-        assert again.to_json() == first.to_json()
+        assert again.to_dict() == first.to_dict()
         for name in records_in(tmp_path):
             assert str(tmp_path / name) in caplog.text
 
@@ -417,7 +437,7 @@ class TestResultRecords:
         def disk_full(src, dst):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cache.os, "replace", disk_full)
+        monkeypatch.setattr(binfile.os, "replace", disk_full)
         with pytest.raises(OSError, match="No space"):
             self.ablation(manifest, stub_pair, small_protocol, tmp_path,
                           configs=(FeatureConfig("ow"),))

@@ -1,8 +1,12 @@
 """Every public function and class in ``src/scenefuse`` has a caller there,
-unless it is a documented library entry point."""
+unless it is a documented library entry point, and every error type it
+defines has an exit code."""
 
 import ast
+import importlib
 import pathlib
+
+from scenefuse import cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scenefuse"
 
@@ -27,3 +31,16 @@ def test_public_names_have_a_caller_in_src():
     unreferenced = {f"{module}.{name}" for name, module in defined.items()
                     if name not in referenced}
     assert unreferenced == {f"{defined[name]}.{name}" for name in ENTRY_POINTS}
+
+
+def test_every_error_type_maps_to_an_exit_code():
+    # an input error missing from cli._data_errors() would exit 4, as a bug
+    errors = []
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"scenefuse.{path.stem}")
+        errors += [obj for obj in vars(module).values() if isinstance(obj, type)
+                   and issubclass(obj, Exception) and obj.__module__ == module.__name__]
+    assert errors
+    unmapped = [f"{error.__module__}.{error.__name__}" for error in errors
+                if error is not cli.CliConfigError and not issubclass(error, cli._data_errors())]
+    assert unmapped == []
