@@ -98,8 +98,6 @@ _OPTIONS = {
     "--repetitions": {"type": _at_least(1), "help": "custom protocol: repetitions"},
     "--split-file": {"help": "JSON split plan to use instead of sampling"},
     "files": {"nargs": "+", "help": "HDFW weight files"},
-    "--trunk": {"choices": ("vgg16", "any"), "default": "vgg16",
-                "help": "architecture to validate against (default %(default)s)"},
     "--repeats": {"type": _at_least(1), "default": 3},
 }
 
@@ -183,24 +181,19 @@ def _load_backends(args, sources):
 
 
 def _spec_for_bundle(bundle):
-    """The known trunk whose conv shapes are the bundle's kernel shapes.
+    """The trunk a bundle is checked against, picked by its conv count alone.
 
-    The file format carries no layer sequence, so the candidates are the
-    canonical vgg16 trunk and, for a 2-entry bundle, the stub trunk of the
-    synthetic helpers with the bundle's channel counts.
+    The file format carries no layer sequence. Two convs give the stub trunk
+    of the synthetic helpers with the bundle's channel counts; any other
+    count gives the canonical vgg16 trunk. `validate_bundle` makes every
+    shape check, so a bundle that fits no trunk raises `BundleError`.
     """
     from .engine import vgg16_spec
     from .synthetic import stub_spec
 
-    shapes = [tuple(e.kernel.shape) for e in bundle.entries]
-    candidates = [vgg16_spec()]
-    if len(shapes) == 2:
-        candidates.append(stub_spec(shapes[0][0], shapes[1][0]))
-    for spec in candidates:
-        if shapes == [(l.out_channels, l.in_channels, 3, 3) for l in spec.conv_layers]:
-            return spec
-    raise CliConfigError("weight bundle matches neither the canonical vgg16 trunk "
-                         "nor a stub trunk")
+    if len(bundle.entries) == 2:
+        return stub_spec(*(e.kernel.shape[0] for e in bundle.entries))
+    return vgg16_spec()
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +220,9 @@ def cmd_slice(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     print(f"{'technique':<9} {'index':>5} {'bbox (t,l,h,w)':>20} {'pixels':>8}")
-    for mask, sub in zip(masks, rendered):
+    for mask, pixels in zip(masks, rendered):
         write_ppm(os.path.join(out_dir, f"{mask.technique}_{mask.index}.ppm"),
-                  sub.pixels.transpose(1, 2, 0))
+                  pixels.transpose(1, 2, 0))
         write_pgm(os.path.join(out_dir, f"{mask.technique}_{mask.index}.pgm"),
                   mask.mask.astype("u1") * 255)
         print(f"{mask.technique:<9} {mask.index:>5} {str(mask.bbox):>20} "
@@ -378,17 +371,16 @@ def cmd_validate_weights(args) -> int:
     from .engine import validate_bundle, vgg16_spec
     from .weights import load_weights
 
-    spec = vgg16_spec() if args.trunk == "vgg16" else None
     for path in args.files:
         _require_file(path, "weight file")
     for path in args.files:
         bundle = load_weights(path)
-        if spec is not None:
-            validate_bundle(spec, bundle)
+        spec = _spec_for_bundle(bundle)
+        validate_bundle(spec, bundle)
         total = sum(e.kernel.size + e.bias.size for e in bundle.entries)
         print(f"{path}: {len(bundle.entries)} conv entries, {total} parameters, "
               f"means {[round(float(m), 2) for m in bundle.means]} "
-              f"({'vgg16 trunk' if spec else 'shape-checked only'})")
+              f"({'vgg16' if spec == vgg16_spec() else 'stub'} trunk)")
     return EXIT_OK
 
 
@@ -422,8 +414,8 @@ _COMMANDS = {
                    ("--dataset", "--protocol", "--train-per-class", "--test-per-class",
                     "--repetitions", "--split-file", "--folds", "--object-weights",
                     "--scene-weights", "--feature-type", "--seed", "--out")),
-    "validate-weights": (cmd_validate_weights, "check HDFW files load and match a trunk",
-                         ("files", "--trunk")),
+    "validate-weights": (cmd_validate_weights, "check HDFW files load and fit their trunk",
+                         ("files",)),
     "bench": (cmd_bench, "time optimized conv2d (im2col + sgemm over blocks of output rows, "
               "~4 MiB of columns each) against the direct reference at VGG16's conv2 shape "
               "(64 to 64 channels, 224x224), and one rect/circ pair and one tri slice "

@@ -65,7 +65,8 @@ def scan_dataset(root: str) -> DatasetManifest:
     """Build a manifest from a directory-per-class tree.
 
     Non-image files are skipped (logged with a count); an empty class
-    directory or fewer than two classes is an error.
+    directory, fewer than two classes or an image path that is not UTF-8
+    is an error.
     """
     if not os.path.isdir(root):
         raise DatasetError(f"dataset root {root!r} is not a directory")
@@ -82,6 +83,10 @@ def scan_dataset(root: str) -> DatasetManifest:
             if not os.path.isfile(full):
                 continue
             if os.path.splitext(fname)[1].lower() in IMAGE_EXTENSIONS:
+                try:
+                    full.encode("utf-8")  # caches store each path as UTF-8
+                except UnicodeEncodeError:
+                    raise DatasetError(f"image path {full!r} is not UTF-8") from None
                 paths.append(full)
             else:
                 skipped += 1

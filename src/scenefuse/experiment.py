@@ -331,6 +331,9 @@ def run_experiment(
     configs = default_configs() if configs is None else tuple(configs)
     if plan is None:
         plan = make_split(manifest, protocol)
+    elif len(plan.repetitions) != protocol.repetitions:
+        raise DatasetError(f"split plan has {len(plan.repetitions)} repetitions, "
+                           f"the protocol needs {protocol.repetitions}")
     base, labels, _ = compute_base_features(
         manifest, object_backend, scene_backend, cache_dir,
         {source for config in configs for source in config.sources}

@@ -118,7 +118,7 @@ def extract_base_features(
             if key != tuple(backend.means.tolist()):
                 key, renders = tuple(backend.means.tolist()), None
                 renders = [render_slice(working - backend.means[:, None, None], masks[j],
-                                        np.zeros(3, np.float32)).pixels for j in slots]
+                                        np.zeros(3, np.float32)) for j in slots]
             args = backend.spec, backend.weights
             outs = (forward_pair_to_pool5(*args, *renders) if len(slots) == 2 else
                     [forward_delta_to_pool5(*args, renders[0], zeros[source])])
@@ -144,7 +144,7 @@ def benchmark_delta_forwards(seed: int = 0) -> dict:
         for e in bundle.entries)))
     image = np.random.default_rng(seed).uniform(-128, 128, (3, WORKING_SIZE, WORKING_SIZE))
     rect, tri, circ = (render_slice(image.astype(np.float32), all_masks(WORKING_SIZE)[j],
-                                    np.zeros(3, np.float32)).pixels for j in (0, 4, 8))
+                                    np.zeros(3, np.float32)) for j in (0, 4, 8))
     outs, times = [], []
     for fn, *views in ((forward_pair_to_pool5, rect, circ),
                        (forward_delta_to_pool5, tri, backend.zero_reference),

@@ -8,10 +8,28 @@ colour into masked-out pixels inside the bounding box and resizes the
 crop back to 224x224. The 20 masks of a working size are built once and
 shared, so every mask array is read-only.
 
-Boundary and tie-break rules are normative here, chosen so that the
-rectangular, triangular and both diagonal mask sets each partition the
-pixel grid exactly, and the circular masks exactly tile the inscribed
-disc (pixel centres strictly inside radius size/2).
+Boundary and tie-break rules are normative here. On a size x size grid
+(size even and >= 4) with row r, column c, h = size/2, n = size - 1,
+d = c - r and s = r + c, the four slices of each technique are, in index
+order:
+
+- rect: quadrants top-left, top-right, bottom-left, bottom-right, where a
+  pixel is top when r < h and left when c < h.
+- tri: triangles top, right, bottom, left cut by the two main diagonals:
+  a pixel belongs to top if d >= 0 and s < n, right if d > 0 and s >= n,
+  bottom if d <= 0 and s > n, left if d < 0 and s <= n.
+- circ: rect quadrant k intersected with the inscribed disc, which has
+  radius h around the grid centre (n/2 in both axes); a pixel is
+  inside when its centre lies strictly within the radius. Pixels outside
+  the disc belong to no circular slice.
+- ldiag: bands parallel to the main (top-left to bottom-right) diagonal,
+  d in [-n, -h), [-h, 0), [0, h), [h, n].
+- rdiag: bands parallel to the anti (top-right to bottom-left) diagonal,
+  s in [0, h), [h, n), [n, n + h), [n + h, 2n].
+
+The half-open conditions make the rect, tri, ldiag and rdiag mask sets
+each an exact partition of the pixel grid, and the circ masks exactly
+tile the inscribed disc.
 """
 
 from __future__ import annotations
@@ -38,15 +56,6 @@ class SliceMask:
     bbox: tuple[int, int, int, int]  # top, left, height, width
 
 
-@dataclass(frozen=True)
-class SubImage:
-    """A rendered slice: always 3 x OUTPUT_SIZE x OUTPUT_SIZE pixels."""
-
-    pixels: np.ndarray  # float32, (3, 224, 224)
-    technique: str
-    index: int
-
-
 def _tight_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
@@ -57,133 +66,38 @@ def _tight_bbox(mask: np.ndarray) -> tuple[int, int, int, int]:
     return top, left, bottom - top + 1, right - left + 1
 
 
-def _make(technique: str, masks: list[np.ndarray]) -> list[SliceMask]:
-    for m in masks:
-        m.setflags(write=False)
-    return [
-        SliceMask(technique=technique, index=i, mask=m, bbox=_tight_bbox(m))
-        for i, m in enumerate(masks)
-    ]
-
-
-def _check_size(size: int) -> None:
-    if size < 4 or size % 2:
-        raise ValueError(f"working size must be even and >= 4, got {size}")
-
-
-def _grids(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.indices((size, size))
-
-
-def rect_slices(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """Four quadrant masks: top-left, top-right, bottom-left, bottom-right."""
-    _check_size(size)
-    rr, cc = _grids(size)
-    half = size // 2
-    top, left = rr < half, cc < half
-    return _make("rect", [top & left, top & ~left, ~top & left, ~top & ~left])
-
-
-def tri_slices(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """Four triangles cut by the two main diagonals: top, right, bottom, left.
-
-    With d1 = col - row and d2 = row + col - (size - 1), a pixel belongs to
-    top if d1 >= 0 and d2 < 0, right if d1 > 0 and d2 >= 0, bottom if
-    d1 <= 0 and d2 > 0, left if d1 < 0 and d2 <= 0. The half-open
-    conditions make the four masks an exact partition.
-    """
-    _check_size(size)
-    rr, cc = _grids(size)
-    d1 = cc - rr
-    d2 = rr + cc - (size - 1)
-    return _make("tri", [
-        (d1 >= 0) & (d2 < 0),
-        (d1 > 0) & (d2 >= 0),
-        (d1 <= 0) & (d2 > 0),
-        (d1 < 0) & (d2 <= 0),
-    ])
-
-
-def circ_slices(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """Four quadrant sectors of the inscribed disc.
-
-    The disc has radius size/2 around the grid centre ((size-1)/2 in both
-    axes); a pixel is inside when its centre lies strictly within the
-    radius. Sector k is the disc intersected with quadrant k (top-left,
-    top-right, bottom-left, bottom-right). Pixels outside the disc belong
-    to no circular slice.
-    """
-    _check_size(size)
-    rr, cc = _grids(size)
-    centre = (size - 1) / 2.0
-    inside = (rr - centre) ** 2 + (cc - centre) ** 2 < (size / 2.0) ** 2
-    half = size // 2
-    top, left = rr < half, cc < half
-    return _make("circ", [
-        inside & top & left,
-        inside & top & ~left,
-        inside & ~top & left,
-        inside & ~top & ~left,
-    ])
-
-
-def ldiag_slices(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """Four bands parallel to the main (top-left to bottom-right) diagonal.
-
-    Banding is by d = col - row with thresholds -size/2, 0, size/2:
-    intervals [-(size-1), -size/2), [-size/2, 0), [0, size/2),
-    [size/2, size-1].
-    """
-    _check_size(size)
-    rr, cc = _grids(size)
-    d = cc - rr
-    half = size // 2
-    return _make("ldiag", [
-        d < -half,
-        (d >= -half) & (d < 0),
-        (d >= 0) & (d < half),
-        d >= half,
-    ])
-
-
-def rdiag_slices(size: int = WORKING_SIZE) -> list[SliceMask]:
-    """Four bands parallel to the anti (top-right to bottom-left) diagonal.
-
-    Banding is by s = row + col with thresholds size/2, size-1,
-    (size-1) + size/2: intervals [0, size/2), [size/2, size-1),
-    [size-1, size-1 + size/2), [size-1 + size/2, 2*size-2].
-    """
-    _check_size(size)
-    rr, cc = _grids(size)
-    s = rr + cc
-    half = size // 2
-    return _make("rdiag", [
-        s < half,
-        (s >= half) & (s < size - 1),
-        (s >= size - 1) & (s < size - 1 + half),
-        s >= size - 1 + half,
-    ])
-
-
-_GENERATORS = {
-    "rect": rect_slices,
-    "tri": tri_slices,
-    "circ": circ_slices,
-    "ldiag": ldiag_slices,
-    "rdiag": rdiag_slices,
-}
-
-
 @lru_cache(maxsize=8)
 def all_masks(size: int = WORKING_SIZE) -> tuple[SliceMask, ...]:
     """All 20 masks in fixed order: rect 0-3, tri 0-3, circ 0-3, ldiag 0-3, rdiag 0-3.
 
     Built once per size; every call with that size returns the same tuple.
     """
-    return tuple(m for technique in TECHNIQUES for m in _GENERATORS[technique](size))
+    if size < 4 or size % 2:
+        raise ValueError(f"working size must be even and >= 4, got {size}")
+    rr, cc = np.indices((size, size))
+    h, n = size // 2, size - 1
+    d, s = cc - rr, rr + cc
+    top, left = rr < h, cc < h
+    centre = n / 2.0
+    # from one column and one row: only the sum is a full float grid
+    disc = (rr[:, :1] - centre) ** 2 + (cc[:1] - centre) ** 2 < (size / 2.0) ** 2
+    rect = [top & left, top & ~left, ~top & left, ~top & ~left]
+    table = {
+        "rect": rect,
+        "tri": [(d >= 0) & (s < n), (d > 0) & (s >= n), (d <= 0) & (s > n), (d < 0) & (s <= n)],
+        "circ": [disc & quadrant for quadrant in rect],
+        "ldiag": [d < -h, (d >= -h) & (d < 0), (d >= 0) & (d < h), d >= h],
+        "rdiag": [s < h, (s >= h) & (s < n), (s >= n) & (s < n + h), s >= n + h],
+    }
+    masks = []
+    for technique in TECHNIQUES:
+        for index, mask in enumerate(table[technique]):
+            mask.setflags(write=False)
+            masks.append(SliceMask(technique, index, mask, _tight_bbox(mask)))
+    return tuple(masks)
 
 
-def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> SubImage:
+def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> np.ndarray:
     """Render one slice: fill masked-out bbox pixels, crop, resize to 224x224.
 
     Args:
@@ -191,6 +105,9 @@ def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> SubImage:
         slice_mask: mask whose grid matches the source size.
         fill: 3 per-channel fill values for pixels inside the bounding box
             but outside the mask. Rectangular masks have no such pixels.
+
+    Returns:
+        The rendered slice, float32 of shape (3, OUTPUT_SIZE, OUTPUT_SIZE).
     """
     source = np.asarray(source, dtype=np.float32)
     if source.ndim != 3 or source.shape[0] != 3:
@@ -209,6 +126,4 @@ def render_slice(source: np.ndarray, slice_mask: SliceMask, fill) -> SubImage:
     crop = source[:, top : top + height, left : left + width]
     local = slice_mask.mask[top : top + height, left : left + width]
     composited = np.where(local[None, :, :], crop, fill[:, None, None])
-    pixels = bilinear_resize(composited, OUTPUT_SIZE, OUTPUT_SIZE)
-    return SubImage(pixels=pixels, technique=slice_mask.technique, index=slice_mask.index)
-
+    return bilinear_resize(composited, OUTPUT_SIZE, OUTPUT_SIZE)

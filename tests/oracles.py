@@ -113,8 +113,8 @@ def fuse_row(op, ow, sp, sw, pool_op):
 def slice_all(image, fill=(0.0, 0.0, 0.0)):
     """Cut a channel-major (3, S, S) working image into its 20 sub-images.
 
-    They come in the fixed order of `all_masks`, each rendered at
-    3x224x224 regardless of S.
+    They come in the fixed order of `all_masks`, each a float32 3x224x224
+    array regardless of S.
     """
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:

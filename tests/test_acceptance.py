@@ -65,18 +65,20 @@ def test_engine_performance_benchmark():
 
 @pytest.mark.criterion(3, "exhaustive 224x224 slicing partition proofs in < 5 s")
 def test_slicing_partition_proofs():
-    from scenefuse.slicing import (circ_slices, ldiag_slices, rdiag_slices,
-                                   rect_slices, tri_slices)
+    from scenefuse.slicing import all_masks
 
     started = time.perf_counter()
-    for gen in (rect_slices, tri_slices, ldiag_slices, rdiag_slices):
+    masks = all_masks.__wrapped__(224)  # built anew, not from the per-size cache
+    for technique in ("rect", "tri", "ldiag", "rdiag"):
         coverage = np.zeros((224, 224), dtype=np.int64)
-        for m in gen(224):
-            coverage += m.mask
-        assert (coverage == 1).all(), gen.__name__
+        for m in masks:
+            if m.technique == technique:
+                coverage += m.mask
+        assert (coverage == 1).all(), technique
     coverage = np.zeros((224, 224), dtype=np.int64)
-    for m in circ_slices(224):
-        coverage += m.mask
+    for m in masks:
+        if m.technique == "circ":
+            coverage += m.mask
     rr, cc = np.indices((224, 224))
     disc = (rr - 111.5) ** 2 + (cc - 111.5) ** 2 < 112.0 ** 2
     assert coverage.max() <= 1

@@ -288,6 +288,31 @@ class TestExperiment:
         assert f"repetition 0 lists image {leaked!r}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("plan_reps, protocol_reps", [(0, 1), (1, 4)])
+    def test_split_file_repetition_count_must_match(self, plan_reps, protocol_reps,
+                                                    tiny_dataset, weight_files, tmp_path,
+                                                    capsys):
+        from scenefuse.datasets import (SplitProtocol, make_split, save_split,
+                                        scan_dataset)
+
+        manifest = scan_dataset(str(tiny_dataset[0]))
+        split = tmp_path / "split.json"
+        save_split(make_split(manifest, SplitProtocol("fixed_per_class", 4, 2, 1, seed=0)),
+                   manifest, str(split))
+        doc = json.loads(split.read_text())
+        doc["repetitions"] = doc["repetitions"][:plan_reps]
+        split.write_text(json.dumps(doc))
+        out = tmp_path / "exp"
+        args = experiment_args(tiny_dataset, weight_files, out) + [
+            "--split-file", str(split), "--folds", "2", "--feature-type", "ow"]
+        args[args.index("--repetitions") + 1] = str(protocol_reps)
+        assert cli.main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"split plan has {plan_reps} repetitions" in err
+        assert f"the protocol needs {protocol_reps}" in err
+        assert not (out / "report.json").exists()
+        assert not list(out.rglob("*.*"))  # no cache file or result record
+
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
         root, _ = tiny_dataset
@@ -356,7 +381,8 @@ class TestConfigValues:
 
 
 # the options each command once took and takes no longer: those it did not read,
-# and bench's shape flags (bench times one fixed shape)
+# bench's shape flags (bench times one fixed shape) and validate-weights' --trunk
+# (a bundle's conv count picks its trunk)
 REMOVED_OPTIONS = {
     "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
     "extract": ("--seed",),
@@ -364,7 +390,7 @@ REMOVED_OPTIONS = {
     "eval": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
     "experiment": ("--pool",),
     "validate-weights": ("--object-weights", "--scene-weights", "--pool", "--feature-type",
-                         "--seed", "--out"),
+                         "--seed", "--out", "--trunk"),
     "bench": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--out",
               "--channels-in", "--height", "--width", "--channels-out"),
 }
@@ -388,7 +414,7 @@ class TestOptionSurface:
             "eval": ["eval", "--model", str(model), "--features", cache_path, "--out", out],
             "experiment": experiment_args(tiny_dataset, weight_files, out)
             + ["--folds", "2", "--feature-type", "ow"],
-            "validate-weights": ["validate-weights", weight_files[0], "--trunk", "any"],
+            "validate-weights": ["validate-weights", weight_files[0]],
             "bench": ["bench", "--repeats", "1"],
         }
 
@@ -401,7 +427,7 @@ class TestOptionSurface:
         values = {"--object-weights": weight_files[0], "--scene-weights": weight_files[1],
                   "--pool": "max", "--feature-type": "ow", "--seed": 1,
                   "--out": str(tmp_path / "out"), "--channels-in": 2, "--height": 8,
-                  "--width": 8, "--channels-out": 2}
+                  "--width": 8, "--channels-out": 2, "--trunk": "any"}
         args = list(valid_args[command])
         key = option[2:].replace("-", "_")
         if source == "flag":
@@ -427,6 +453,17 @@ class TestOptionSurface:
         assert done.value.code == 0
         assert f"usage: scenefuse {command}" in capsys.readouterr().out
 
+    def test_choice_lists_match_the_package(self):
+        # cli spells the choices out: it cannot import numpy before --threads is read
+        from scenefuse.datasets import protocol_preset
+        from scenefuse.experiment import FEATURE_TYPES
+        from scenefuse.pipeline import POOL_OPS
+
+        assert set(cli._OPTIONS["--feature-type"]["choices"]) == set(FEATURE_TYPES)
+        assert set(cli._OPTIONS["--pool"]["choices"]) == set(POOL_OPS)
+        for name in set(cli._OPTIONS["--protocol"]["choices"]) - {"custom"}:
+            protocol_preset(name)  # raises ValueError on a name it lacks
+
     def test_readme_lists_each_commands_options(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
@@ -439,19 +476,35 @@ class TestOptionSurface:
         assert documented == parsed
 
 
-class TestValidateWeights:
-    def test_stub_fails_vgg16_but_passes_any(self, weight_files):
-        obj_w, _ = weight_files
-        assert cli.main(["validate-weights", obj_w]) == cli.EXIT_DATA
-        assert cli.main(["validate-weights", obj_w, "--trunk", "any"]) == 0
+def three_conv_bundle(tmp_path):
+    """A weight file of three convs: a count no trunk but vgg16's can take."""
+    from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
+    from scenefuse.weights import random_bundle
 
-    def test_canonical_bundle_passes(self, tmp_path):
+    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 4),
+                        LayerSpec(CONV3X3, 4, 512)))
+    path = tmp_path / "three.hdfw"
+    save_weights(random_bundle(spec, seed=0), str(path))
+    return path
+
+
+class TestValidateWeights:
+    def test_conv_count_picks_the_trunk(self, weight_files, tmp_path, capsys):
+        obj_w, _ = weight_files
+        assert cli.main(["validate-weights", obj_w]) == 0
+        assert "(stub trunk)" in capsys.readouterr().out
+        # three convs are checked against vgg16's thirteen
+        assert cli.main(["validate-weights", str(three_conv_bundle(tmp_path))]) == cli.EXIT_DATA
+        assert "spec needs 13" in capsys.readouterr().err
+
+    def test_canonical_bundle_passes(self, tmp_path, capsys):
         from scenefuse.engine import vgg16_spec
         from scenefuse.weights import random_bundle
 
         path = tmp_path / "vgg.hdfw"
         save_weights(random_bundle(vgg16_spec(), seed=0), str(path))
         assert cli.main(["validate-weights", str(path)]) == 0
+        assert "(vgg16 trunk)" in capsys.readouterr().out
 
     def test_corrupted_magic_is_data_error(self, weight_files, tmp_path):
         obj_w, _ = weight_files
@@ -460,11 +513,11 @@ class TestValidateWeights:
             data = bytearray(fh.read())
         data[:4] = b"ZZZZ"
         bad.write_bytes(bytes(data))
-        assert cli.main(["validate-weights", str(bad), "--trunk", "any"]) == cli.EXIT_DATA
+        assert cli.main(["validate-weights", str(bad)]) == cli.EXIT_DATA
 
 
 class TestTrunkRecognition:
-    """`extract` finds the trunk of a weight file from its kernel shapes alone."""
+    """`extract` picks the trunk of a weight file by its conv count, then checks every shape."""
 
     @staticmethod
     def extract(tiny_dataset, weights_path, out):
@@ -494,15 +547,9 @@ class TestTrunkRecognition:
         _, _, matrix = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
         assert matrix.shape == (tiny_dataset[1].total_images, 512)
 
-    def test_unknown_trunk_is_config_error(self, tiny_dataset, tmp_path):
-        from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
-        from scenefuse.weights import random_bundle
-
-        spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 4),
-                            LayerSpec(CONV3X3, 4, 512)))
-        path = tmp_path / "three.hdfw"
-        save_weights(random_bundle(spec, seed=0), str(path))
-        assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_CONFIG
+    def test_unknown_trunk_is_data_error(self, tiny_dataset, tmp_path):
+        path = three_conv_bundle(tmp_path)
+        assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_DATA
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_means_is_data_error(self, tiny_dataset, tmp_path):
@@ -605,6 +652,26 @@ class TestExtractFailures:
         # successful records are still flushed
         _, paths, matrix = load_cache(str(next(out.glob("*.hdfc"))))
         assert matrix.shape == (17, 2048) and str(victim) not in paths
+
+    @pytest.mark.parametrize("command", ["extract", "experiment"])
+    def test_non_utf8_image_name_is_data_error(self, command, tiny_dataset, weight_files,
+                                               tmp_path, capsys):
+        import shutil
+
+        root = tmp_path / "named"
+        shutil.copytree(tiny_dataset[0], root)
+        victim = next((root / "class_01").glob("*.ppm"))
+        bad_name = os.path.join(os.fsencode(victim.parent), b"img_\xff.ppm")
+        shutil.copyfile(victim, bad_name)
+        out = tmp_path / "out"
+        if command == "extract":
+            args = ["extract", "--dataset", str(root), "--object-weights", weight_files[0],
+                    "--scene-weights", weight_files[1], "--out", str(out)]
+        else:
+            args = experiment_args((root, None), weight_files, out)
+        assert cli.main(args) == cli.EXIT_DATA
+        assert repr(os.fsdecode(bad_name)) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_files_bad_is_data_error(self, weight_files, tmp_path, capsys):
         obj_w, scn_w = weight_files

@@ -493,7 +493,7 @@ def vgg16_views():
     photo = np.repeat(np.repeat(coarse, 32, axis=0), 32, axis=1)[:330, :400]
     working = resize_to_working(photo + rng.normal(0.0, 12.0, photo.shape))
     centred = working - bundle.means[:, None, None]
-    views = [render_slice(centred, m, np.zeros(3, dtype=np.float32)).pixels
+    views = [render_slice(centred, m, np.zeros(3, dtype=np.float32))
              for m in all_masks(224)]
     return spec, bundle, zero_reference(spec, bundle, (3, 224, 224)), views
 

@@ -119,7 +119,7 @@ class TestExtractPart:
         # slices are cut from the mean-subtracted working image with fill 0
         centred = preprocess(raster, backend.means)
         vectors = [
-            gap(forward_to_pool5(backend.spec, backend.weights, s.pixels))
+            gap(forward_to_pool5(backend.spec, backend.weights, s))
             for s in slice_all(centred, fill=np.zeros(3, dtype=np.float32))
         ]
         assert len(vectors) == 20
@@ -135,7 +135,7 @@ class TestExtractPart:
         part = extract_base_features(backend, None, raster, ("op",))["op"]
         means = backend.means[:, None, None]
         mean_fill = np.stack([
-            gap(forward_to_pool5(backend.spec, backend.weights, s.pixels - means))
+            gap(forward_to_pool5(backend.spec, backend.weights, s - means))
             for s in slice_all(resize_to_working(raster), fill=backend.means)
         ]).mean(axis=0, dtype=np.float32)
         assert np.max(np.abs(part - mean_fill)) <= 1e-5 * np.max(np.abs(mean_fill))
@@ -154,9 +154,9 @@ class TestExtractPart:
         renders, alive = [], []
 
         def rendering(*args):
-            sub = render_slice(*args)
-            renders.append(weakref.ref(sub.pixels))
-            return sub
+            pixels = render_slice(*args)
+            renders.append(weakref.ref(pixels))
+            return pixels
 
         monkeypatch.setattr(pipeline, "render_slice", rendering)
         watch_forwards(monkeypatch, lambda views: alive.append(

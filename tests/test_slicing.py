@@ -2,34 +2,30 @@ import numpy as np
 import pytest
 
 from scenefuse.resize import bilinear_resize
-from scenefuse.slicing import (
-    TECHNIQUES, all_masks, circ_slices, ldiag_slices, rdiag_slices,
-    rect_slices, render_slice, tri_slices,
-)
+from scenefuse.slicing import TECHNIQUES, all_masks, render_slice
 
 from oracles import bilinear_resize_gather, slice_all
 
-PARTITION_TECHNIQUES = {
-    "rect": rect_slices,
-    "tri": tri_slices,
-    "ldiag": ldiag_slices,
-    "rdiag": rdiag_slices,
-}
-GENERATORS = {**PARTITION_TECHNIQUES, "circ": circ_slices}
+PARTITION_TECHNIQUES = ("rect", "tri", "ldiag", "rdiag")
 
 
 def fresh_masks(size):
     """The 20 masks built anew, bypassing the per-size cache of `all_masks`."""
-    return [m for t in TECHNIQUES for m in GENERATORS[t](size)]
+    return all_masks.__wrapped__(size)
+
+
+def technique_masks(technique, size=224):
+    """One technique's four masks in index order, built anew."""
+    return [m for m in fresh_masks(size) if m.technique == technique]
 
 
 class TestMaskGeometry:
     def test_rect_quadrant_sizes(self):
-        masks = rect_slices(224)
+        masks = technique_masks("rect")
         assert [int(m.mask.sum()) for m in masks] == [12544] * 4
 
     def test_rect_union_and_corner(self):
-        masks = rect_slices(224)
+        masks = technique_masks("rect")
         union = sum(m.mask.astype(int) for m in masks)
         assert union.sum() == 50176
         membership = [m.mask[0, 0] for m in masks]
@@ -37,21 +33,21 @@ class TestMaskGeometry:
 
     @pytest.mark.parametrize("technique", sorted(PARTITION_TECHNIQUES))
     def test_exact_partition_by_enumeration(self, technique):
-        masks = PARTITION_TECHNIQUES[technique](224)
+        masks = technique_masks(technique)
         coverage = np.zeros((224, 224), dtype=np.int64)
         for m in masks:
             coverage += m.mask
         assert (coverage == 1).all()
 
     def test_tri_boundary_pixels(self):
-        top, right, bottom, left = tri_slices(224)
+        top, right, bottom, left = technique_masks("tri")
         assert right.mask[0, 223] and not (top.mask[0, 223] or bottom.mask[0, 223])
         assert top.mask[0, 111]
         assert left.mask[223, 0]
         assert bottom.mask[223, 112]
 
     def test_circ_tiles_disc_exactly(self):
-        masks = circ_slices(224)
+        masks = technique_masks("circ")
         coverage = np.zeros((224, 224), dtype=np.int64)
         for m in masks:
             coverage += m.mask
@@ -61,18 +57,18 @@ class TestMaskGeometry:
         assert ((coverage == 1) == disc).all()
 
     def test_circ_corner_and_centre(self):
-        masks = circ_slices(224)
+        masks = technique_masks("circ")
         assert not any(m.mask[0, 0] for m in masks)  # distance ~157.7 > 112
         membership = [m.mask[111, 111] for m in masks]
         assert membership == [True, False, False, False]  # top-left sector
 
     def test_ldiag_origin_band(self):
-        masks = ldiag_slices(224)
+        masks = technique_masks("ldiag")
         membership = [m.mask[0, 0] for m in masks]  # d = 0 -> band 2
         assert membership == [False, False, True, False]
 
     def test_rdiag_far_corner_band(self):
-        masks = rdiag_slices(224)
+        masks = technique_masks("rdiag")
         membership = [m.mask[223, 223] for m in masks]  # s = 446 -> band 3
         assert membership == [False, False, False, True]
 
@@ -94,7 +90,7 @@ class TestMaskGeometry:
 
     def test_small_sizes_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            rect_slices(7)
+            all_masks(7)
 
     def test_masks_built_once_per_size(self):
         first = all_masks(224)
@@ -116,25 +112,26 @@ class TestMaskGeometry:
 class TestRendering:
     def test_rect_render_is_pure_crop_resize(self, rng):
         source = rng.random((3, 224, 224)).astype(np.float32) * 255
-        mask = rect_slices(224)[0]
+        mask = technique_masks("rect")[0]
         rendered = render_slice(source, mask, fill=(0, 0, 0))
         manual = bilinear_resize(source[:, :112, :112], 224, 224)
-        assert np.array_equal(rendered.pixels, manual)
+        assert np.array_equal(rendered, manual)
         # fill colour is irrelevant when the bbox is fully masked
         other = render_slice(source, mask, fill=(255, 255, 255))
-        assert np.array_equal(rendered.pixels, other.pixels)
+        assert np.array_equal(rendered, other)
 
     def test_constant_image_with_matching_fill(self):
         source = np.full((3, 224, 224), 99.0, dtype=np.float32)
         for mask in all_masks(224):
             out = render_slice(source, mask, fill=(99.0, 99.0, 99.0))
-            assert np.allclose(out.pixels, 99.0, atol=1e-4)
+            assert np.allclose(out, 99.0, atol=1e-4)
 
     def test_output_always_224(self, rng):
         source = rng.random((3, 64, 64)).astype(np.float32)
         for mask in all_masks(64):
-            sub = render_slice(source, mask, fill=(0, 0, 0))
-            assert sub.pixels.shape == (3, 224, 224)
+            pixels = render_slice(source, mask, fill=(0, 0, 0))
+            assert isinstance(pixels, np.ndarray)
+            assert pixels.shape == (3, 224, 224) and pixels.dtype == np.float32
 
     def test_empty_mask_rejected(self):
         from scenefuse.slicing import SliceMask
@@ -146,11 +143,11 @@ class TestRendering:
 
     def test_fill_applied_outside_mask(self):
         source = np.zeros((3, 224, 224), dtype=np.float32)
-        mask = tri_slices(224)[0]  # top triangle: bbox spans the full top half
+        mask = technique_masks("tri")[0]  # top triangle: bbox spans the full top half
         out = render_slice(source, mask, fill=(200.0, 0.0, 0.0))
         # corners of the rendered image come from filled (non-mask) regions
-        assert out.pixels[0, -1, 0] > 100.0
-        assert out.pixels[1].max() < 1e-4
+        assert out[0, -1, 0] > 100.0
+        assert out[1].max() < 1e-4
 
 
 class TestSliceAll:
@@ -158,18 +155,17 @@ class TestSliceAll:
         image = rng.random((3, 224, 224)).astype(np.float32) * 255
         subs = slice_all(image)
         assert len(subs) == 20
-        assert [(s.technique, s.index) for s in subs] == [
-            (t, i) for t in TECHNIQUES for i in range(4)
-        ]
         for s in subs:
-            assert s.pixels.shape == (3, 224, 224)
+            assert s.shape == (3, 224, 224)
+        # rect 3, the bottom-right quadrant, is the fourth sub-image
+        assert np.array_equal(subs[3], bilinear_resize(image[:, 112:, 112:], 224, 224))
 
     def test_deterministic(self, rng):
         image = rng.random((3, 224, 224)).astype(np.float32) * 255
         a = slice_all(image, fill=(1.0, 2.0, 3.0))
         b = slice_all(image, fill=(1.0, 2.0, 3.0))
         for s1, s2 in zip(a, b):
-            assert np.array_equal(s1.pixels, s2.pixels)
+            assert np.array_equal(s1, s2)
 
     def test_matches_four_gather_render(self, rng):
         image = rng.random((3, 224, 224)).astype(np.float32) * 255
@@ -179,7 +175,7 @@ class TestSliceAll:
             window = (slice(top, top + height), slice(left, left + width))
             crop = np.where(m.mask[window], image[(slice(None),) + window], fill[:, None, None])
             ref = bilinear_resize_gather(crop, 224, 224)
-            assert np.array_equal(sub.pixels.view(np.uint32), ref.view(np.uint32))
+            assert np.array_equal(sub.view(np.uint32), ref.view(np.uint32))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="working image"):
