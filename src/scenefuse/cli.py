@@ -7,11 +7,12 @@ internal error (any exception but the typed errors that name bad input and
 ``OSError``). Every command validates its configuration before performing
 any write.
 
-Each command takes only the options its handler reads, plus ``--config``
-and ``--threads``; `_OPTIONS` states each option's type, choices, bound and
-default once. A flat JSON config file may set any option of its command by
-dest name, as a JSON value of the option's type within its choices and
-bound; flags take precedence over it, and it over the defaults.
+Each command takes only the options its handler reads, ``--threads`` only
+where BLAS runs and ``--config`` where there is an option to set;
+`_OPTIONS` states each option's type, choices, bound and default once. A
+flat JSON config file may set any option of its command by dest name, as
+a JSON value of the option's type within its choices and bound; flags
+take precedence over it, and it over the defaults.
 
 Heavy imports happen inside the command handlers so that ``--threads N``
 can pin the BLAS thread-pool environment variables before numpy loads;
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for option in (*options, "--config", "--threads"):
+        for option in options:
             p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(handler=handler)
     return parser
@@ -315,6 +316,12 @@ def _build_protocol(args):
     if not args.protocol:
         raise CliConfigError("missing --protocol")
     if args.protocol != "custom":
+        given = [f"--{dest.replace('_', '-')}" for dest in
+                 ("train_per_class", "test_per_class", "repetitions")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise CliConfigError(f"protocol {args.protocol} fixes its own split; "
+                                 f"{', '.join(given)} apply only to --protocol custom")
         return protocol_preset(args.protocol, seed=args.seed)
     if not args.train_per_class or not args.repetitions:
         raise CliConfigError("custom protocol needs --train-per-class and --repetitions")
@@ -352,7 +359,6 @@ def cmd_experiment(args) -> int:
     if args.split_file:
         plan = load_split(_require_file(args.split_file, "--split-file"), manifest)
 
-    os.makedirs(out_dir, exist_ok=True)
     cache_dir = os.path.join(out_dir, "cache")
     report = run_experiment(
         manifest, object_backend, scene_backend, protocol,
@@ -399,28 +405,29 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# name: (handler, help, the options it reads besides --config and --threads)
+# name: (handler, help, the options it reads)
 _COMMANDS = {
     "slice": (cmd_slice, "write the 20 sub-images and masks of one image",
-              ("image", "--fill", "--out")),
+              ("image", "--fill", "--out", "--config")),
     "extract": (cmd_extract, "extract features for a dataset into an HDFC cache",
                 ("--dataset", "--object-weights", "--scene-weights", "--feature-type",
-                 "--pool", "--out")),
+                 "--pool", "--out", "--config", "--threads")),
     "train": (cmd_train, "grid-search C and train a one-vs-rest model",
-              ("--features", "--folds", "--seed", "--out")),
+              ("--features", "--folds", "--seed", "--out", "--config", "--threads")),
     "eval": (cmd_eval, "evaluate a model on an HDFC feature cache",
-             ("--model", "--features", "--out")),
+             ("--model", "--features", "--out", "--config", "--threads")),
     "experiment": (cmd_experiment, "full ablation: tune, train, evaluate per split",
                    ("--dataset", "--protocol", "--train-per-class", "--test-per-class",
                     "--repetitions", "--split-file", "--folds", "--object-weights",
-                    "--scene-weights", "--feature-type", "--seed", "--out")),
+                    "--scene-weights", "--feature-type", "--seed", "--out", "--config",
+                    "--threads")),
     "validate-weights": (cmd_validate_weights, "check HDFW files load and fit their trunk",
                          ("files",)),
     "bench": (cmd_bench, "time optimized conv2d (im2col + sgemm over blocks of output rows, "
               "~4 MiB of columns each) against the direct reference at VGG16's conv2 shape "
               "(64 to 64 channels, 224x224), and one rect/circ pair and one tri slice "
               "through the delta forwards against full VGG16 forwards",
-              ("--repeats", "--seed")),
+              ("--repeats", "--seed", "--config", "--threads")),
 }
 
 
@@ -433,11 +440,11 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.config:
+        if getattr(args, "config", None):
             command = commands(parser)[args.command]
             command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             for var in _THREAD_VARS:
                 os.environ[var] = str(args.threads)
         return args.handler(args)

@@ -1,9 +1,12 @@
 """Minimal CNN forward-pass engine.
 
-Evaluates a VGG16-shaped convolutional trunk, described by its 3x3
-convolutions (each followed by a ReLU) and 2x2 max poolings, up to the
-output of its fifth pooling layer, which is where the feature pipeline
-reads activations. Three design rules hold throughout:
+Evaluates a VGG16-shaped convolutional trunk up to the output of its fifth
+pooling layer, which is where the feature pipeline reads activations. A
+trunk is its layer list in VGG's own layout: each 3x3 convolution (stride
+1, pad 1, followed by a ReLU) is its output channel count, each 2x2 max
+pooling is `POOL`, and the input is the 3-channel image, so every conv's
+input count is the previous conv's output. Three design rules hold
+throughout:
 
 * activations are channel-major float32 arrays of shape (C, H, W);
 * every operation is a pure function, so results are bit-deterministic
@@ -27,13 +30,8 @@ The engine knows nothing about files; weight storage lives in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-
-CONV3X3 = "conv3x3"
-MAXPOOL2 = "maxpool2"
 
 # bytes of im2col columns per block of output rows in `conv2d`: about one L2 cache
 _BLOCK_BYTES = 4 << 20
@@ -181,84 +179,44 @@ def gap(x: np.ndarray) -> np.ndarray:
 # Network description
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One trunk layer: `conv3x3` (with channel counts, ReLU implied) or `maxpool2`."""
-
-    kind: str
-    in_channels: int = 0
-    out_channels: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (CONV3X3, MAXPOOL2):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == CONV3X3 and (self.in_channels < 1 or self.out_channels < 1):
-            raise ValueError(
-                f"conv3x3 needs positive channel counts, got "
-                f"{self.in_channels}->{self.out_channels}"
-            )
+POOL = "M"
+# VGG16 up to pool5, configuration D of Simonyan & Zisserman (arXiv:1409.1556)
+_VGG16 = (64, 64, POOL, 128, 128, POOL, 256, 256, 256, POOL,
+          512, 512, 512, POOL, 512, 512, 512, POOL)
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """An ordered stack of layers forming a convolutional trunk."""
-
-    layers: tuple[LayerSpec, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        prev_out = None
-        for layer in self.layers:
-            if layer.kind == CONV3X3:
-                if prev_out is not None and layer.in_channels != prev_out:
-                    raise ValueError(
-                        f"conv chain broken: {layer.in_channels} inputs after "
-                        f"{prev_out} outputs"
-                    )
-                prev_out = layer.out_channels
-
-    @property
-    def conv_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(l for l in self.layers if l.kind == CONV3X3)
-
-    @property
-    def pool_count(self) -> int:
-        return sum(1 for l in self.layers if l.kind == MAXPOOL2)
-
-    @property
-    def input_channels(self) -> int:
-        for layer in self.layers:
-            if layer.kind == CONV3X3:
-                return layer.in_channels
-        raise ValueError("spec has no conv layer")
-
-
-_VGG16_BLOCKS = ((64, 64), (128, 128), (256, 256, 256), (512, 512, 512), (512, 512, 512))
-
-
-@lru_cache(maxsize=1)
-def vgg16_spec() -> NetworkSpec:
+def vgg16_spec() -> tuple:
     """The canonical trunk: VGG16's 13 conv layers and 5 pools, no classifier head.
 
-    Blocks (64,64)P(128,128)P(256,256,256)P(512,512,512)P(512,512,512)P,
-    every conv 3x3 / stride 1 / pad 1 / followed by ReLU. A 3x224x224 input
-    comes out as 512x7x7 after the fifth pool. Built once, as it is immutable.
+    Every conv is 3x3 / stride 1 / pad 1 / followed by ReLU. A 3x224x224
+    input comes out as 512x7x7 after the fifth pool.
     """
-    layers: list[LayerSpec] = []
-    in_ch = 3
-    for block in _VGG16_BLOCKS:
-        for out_ch in block:
-            layers.append(LayerSpec(CONV3X3, in_ch, out_ch))
-            in_ch = out_ch
-        layers.append(LayerSpec(MAXPOOL2))
-    return NetworkSpec(tuple(layers))
+    return _VGG16
+
+
+def conv_channels(spec) -> list[tuple[int, int]]:
+    """Each conv's (in, out) channel counts, in order; the first reads the 3-channel image.
+
+    Raises:
+        ValueError: naming a layer that is neither a positive int nor `POOL`.
+    """
+    pairs, c_in = [], 3
+    for layer in spec:
+        if layer == POOL:
+            continue
+        if type(layer) is not int or layer < 1:  # type(): True is no channel count
+            raise ValueError(f"layer {layer!r} is neither a positive channel count "
+                             f"nor {POOL!r}")
+        pairs.append((c_in, layer))
+        c_in = layer
+    return pairs
 
 
 class BundleError(ValueError):
     """A weight bundle that does not fit its trunk."""
 
 
-def validate_bundle(spec: NetworkSpec, bundle) -> None:
+def validate_bundle(spec: tuple, bundle) -> None:
     """Check a weight bundle against a spec: entry count and all shapes.
 
     `bundle` needs `.entries` (objects with `.kernel` and `.bias`) and
@@ -267,22 +225,22 @@ def validate_bundle(spec: NetworkSpec, bundle) -> None:
     Raises:
         BundleError: on any count or shape mismatch, or means outside [0, 255].
     """
-    convs = spec.conv_layers
+    convs = conv_channels(spec)
     if len(bundle.entries) != len(convs):
         raise BundleError(
             f"bundle has {len(bundle.entries)} conv entries, spec needs {len(convs)}"
         )
-    for i, (entry, layer) in enumerate(zip(bundle.entries, convs)):
-        want = (layer.out_channels, layer.in_channels, 3, 3)
+    for i, (entry, (c_in, c_out)) in enumerate(zip(bundle.entries, convs)):
+        want = (c_out, c_in, 3, 3)
         if tuple(entry.kernel.shape) != want:
             raise BundleError(
                 f"entry {i} ({getattr(entry, 'name', '?')}): kernel shape "
                 f"{tuple(entry.kernel.shape)} != {want}"
             )
-        if tuple(entry.bias.shape) != (layer.out_channels,):
+        if tuple(entry.bias.shape) != (c_out,):
             raise BundleError(
                 f"entry {i} ({getattr(entry, 'name', '?')}): bias shape "
-                f"{tuple(entry.bias.shape)} != ({layer.out_channels},)"
+                f"{tuple(entry.bias.shape)} != ({c_out},)"
             )
     means = np.asarray(bundle.means, dtype=np.float32)
     if means.shape != (3,):
@@ -291,7 +249,7 @@ def validate_bundle(spec: NetworkSpec, bundle) -> None:
         raise BundleError(f"bundle means out of range [0, 255]: {means}")
 
 
-def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray:
+def forward_to_pool5(spec: tuple, bundle, image: np.ndarray) -> np.ndarray:
     """Run `image` through every layer of `spec` with weights from `bundle`.
 
     Each conv output is clamped at zero in place, the ReLU that follows
@@ -299,30 +257,29 @@ def forward_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray) -> np.ndarray
     written. For the canonical VGG16 trunk this maps a preprocessed
     3x224x224 image to the 512x7x7 output of the fifth pooling layer.
     Arbitrary specs are accepted as long as the input survives all
-    poolings (spatial dims divisible by 2**pool_count); the canonical spec
-    additionally insists on a 224x224 input, which is what the
-    preprocessing stage produces.
+    poolings (spatial dims divisible by 2 ** spec.count(POOL)); the
+    canonical spec additionally insists on a 224x224 input, which is what
+    the preprocessing stage produces.
     """
     entries, x = _checked(spec, bundle, image)
     return _forward(entries, x)
 
 
-def _checked(spec: NetworkSpec, bundle, *images) -> tuple:
+def _checked(spec: tuple, bundle, *images) -> tuple:
     """Each layer's conv entry (None for a pool), then the checked float32 images."""
     validate_bundle(spec, bundle)
     xs = [_as_f32(image, "image", 3) for image in images]
-    divisor = 2 ** spec.pool_count
+    pools = spec.count(POOL)
     for x in xs:
-        if x.shape[0] != spec.input_channels:
-            raise ValueError(f"image has {x.shape[0]} channels, spec expects "
-                             f"{spec.input_channels}")
-        if x.shape[1] % divisor or x.shape[2] % divisor:
+        if x.shape[0] != 3:
+            raise ValueError(f"image has {x.shape[0]} channels, spec expects 3")
+        if x.shape[1] % 2 ** pools or x.shape[2] % 2 ** pools:
             raise ValueError(f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by "
-                             f"{divisor} ({spec.pool_count} pooling layers)")
+                             f"{2 ** pools} ({pools} pooling layers)")
         if spec == vgg16_spec() and x.shape[1:] != (224, 224):
             raise ValueError(f"canonical trunk expects 224x224 input, got {x.shape[1:]}")
     entries = iter(bundle.entries)
-    return [next(entries) if layer.kind == CONV3X3 else None for layer in spec.layers], *xs
+    return [None if layer == POOL else next(entries) for layer in spec], *xs
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -397,12 +354,12 @@ def _paste(y: np.ndarray, patches) -> np.ndarray:
     return y
 
 
-def forward_pair_to_pool5(spec: NetworkSpec, bundle, reference: np.ndarray,
+def forward_pair_to_pool5(spec: tuple, bundle, reference: np.ndarray,
                           twin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two images through one trunk in lockstep: the twin as a delta over the
     reference, so it costs what it changes (a circ slice 22% of its rect)."""
     entries, x, y = _checked(spec, bundle, reference, twin)
-    if all(9 * layer.in_channels < _DELTA_MIN_MADDS for layer in spec.conv_layers):
+    if all(9 * c_in < _DELTA_MIN_MADDS for c_in, _ in conv_channels(spec)):
         return _forward(entries, x), _forward(entries, y)
     state = [x]
 
@@ -414,7 +371,7 @@ def forward_pair_to_pool5(spec: NetworkSpec, bundle, reference: np.ndarray,
     return _finite(state[0]), twin_out
 
 
-def zero_reference(spec: NetworkSpec, bundle, shape) -> tuple:
+def zero_reference(spec: tuple, bundle, shape) -> tuple:
     """(shape, frames): an all-zero input's forward. Pixels `band` or more from
     every edge are equal (`band` grows by one per conv, halves per pool), so a
     conv keeps its first `band` + 1 and last `band` rows and columns: 1.8 MB."""
@@ -441,14 +398,14 @@ def _unframe(frame) -> np.ndarray:
     return out
 
 
-def forward_delta_to_pool5(spec: NetworkSpec, bundle, image: np.ndarray,
+def forward_delta_to_pool5(spec: tuple, bundle, image: np.ndarray,
                            zero: tuple) -> np.ndarray:
     """`forward_to_pool5` of an image zero on much of its area (a slice rendered
     with fill 0), as a delta over the trunk's `zero_reference` for its shape."""
     (entries, x), (shape, frames) = _checked(spec, bundle, image), zero
-    if x.shape != shape or len(frames) != len(spec.layers):
+    if x.shape != shape or len(frames) != len(spec):
         raise ValueError(f"zero reference of {shape} does not fit input {x.shape}")
-    if all(9 * layer.in_channels < _DELTA_MIN_MADDS for layer in spec.conv_layers):
+    if all(9 * c_in < _DELTA_MIN_MADDS for c_in, _ in conv_channels(spec)):
         return _forward(entries, x)
     return _delta_forward(entries, x, np.any(x != 0, axis=0),
                           lambda i, need: _unframe(frames[i]) if need else None)

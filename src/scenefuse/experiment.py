@@ -159,7 +159,10 @@ def _try_load_base(cache_paths, paths, labels, stamps):
     mats = {}
     for source, path in cache_paths.items():
         record = load_record(f"{path}.stamps.json", {}, ("images",))
-        stored = record["images"] if record and isinstance(record["images"], list) else []
+        if record is None:
+            logger.info("%s.stamps.json is missing; re-extracting", path)
+            return None
+        stored = record["images"] if isinstance(record["images"], list) else []
         if stored != stamps:
             changed = next((image for image, old, new in zip(paths, stored, stamps)
                             if old != new), "the image list")

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import (NetworkSpec, forward_delta_to_pool5, forward_pair_to_pool5,
-                     forward_to_pool5, gap, validate_bundle, vgg16_spec, zero_reference)
+from .engine import (forward_delta_to_pool5, forward_pair_to_pool5, forward_to_pool5, gap,
+                     validate_bundle, vgg16_spec, zero_reference)
 from .resize import bilinear_resize
 from .slicing import WORKING_SIZE, all_masks, render_slice
 from .weights import WeightBundle, random_bundle
@@ -37,12 +37,12 @@ BACKEND_KINDS = ("object", "scene")
 
 @dataclass(frozen=True)
 class Backend:
-    """An immutable (network spec, weight bundle) pair standing in for a
+    """An immutable (layer list, weight bundle) pair standing in for a
     pretrained trunk. kind='object' reads out foreground-centric weights,
     kind='scene' background-centric ones."""
 
     kind: str
-    spec: NetworkSpec
+    spec: tuple  # the trunk's layer list: conv output channel counts and POOL
     weights: WeightBundle
 
     def __post_init__(self):

@@ -13,27 +13,20 @@ import os
 import numpy as np
 
 from .datasets import DatasetManifest, scan_dataset
-from .engine import CONV3X3, MAXPOOL2, LayerSpec, NetworkSpec
+from .engine import POOL
 from .imageio import write_ppm
 from .pipeline import Backend
 from .weights import random_bundle
 
 
-def stub_spec(mid_channels: int = 8, out_channels: int = 512) -> NetworkSpec:
-    """A 2-conv trunk that still maps 3x224x224 to (out_channels)x7x7.
+def stub_spec(mid_channels: int = 8, out_channels: int = 512) -> tuple:
+    """A 2-conv trunk that still maps 3x224x224 to (out_channels)x7x7, as the
+    layer list (mid_channels, POOL, POOL, POOL, POOL, out_channels, POOL).
 
     The second conv runs after four poolings (14x14 maps), so forwards stay
     cheap even with the standard 512 output channels.
     """
-    return NetworkSpec((
-        LayerSpec(CONV3X3, 3, mid_channels),
-        LayerSpec(MAXPOOL2),
-        LayerSpec(MAXPOOL2),
-        LayerSpec(MAXPOOL2),
-        LayerSpec(MAXPOOL2),
-        LayerSpec(CONV3X3, mid_channels, out_channels),
-        LayerSpec(MAXPOOL2),
-    ))
+    return (mid_channels, POOL, POOL, POOL, POOL, out_channels, POOL)
 
 
 def stub_backend_pair(seed: int = 0) -> tuple[Backend, Backend]:

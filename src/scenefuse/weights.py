@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import BoundedReader, write_file
-from .engine import NetworkSpec
+from .engine import conv_channels
 
 MAGIC = b"HDFW"
 FORMAT_VERSION = 1
@@ -136,7 +136,7 @@ def load_weights(path: str) -> WeightBundle:
     return WeightBundle(entries=tuple(entries), means=means)
 
 
-def random_bundle(spec: NetworkSpec, seed: int = 0, scale: float | None = None,
+def random_bundle(spec: tuple, seed: int = 0, scale: float | None = None,
                   means=(124.0, 117.0, 104.0)) -> WeightBundle:
     """Deterministic random weights for a spec; handy for stubs and tests.
 
@@ -145,11 +145,10 @@ def random_bundle(spec: NetworkSpec, seed: int = 0, scale: float | None = None,
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
     entries = []
-    for i, layer in enumerate(spec.conv_layers):
-        fan_in = layer.in_channels * 9
-        s = scale if scale is not None else 1.0 / np.sqrt(fan_in)
-        kernel = (rng.standard_normal((layer.out_channels, layer.in_channels, 3, 3)) * s)
-        bias = np.zeros(layer.out_channels)
+    for i, (c_in, c_out) in enumerate(conv_channels(spec)):
+        s = scale if scale is not None else 1.0 / np.sqrt(c_in * 9)
+        kernel = (rng.standard_normal((c_out, c_in, 3, 3)) * s)
+        bias = np.zeros(c_out)
         entries.append(ConvEntry(
             name=f"conv{i}",
             kernel=kernel.astype(np.float32),

@@ -308,13 +308,11 @@ def test_format_round_trips(tmp_path, rng):
                                  save_cache)
     from scenefuse.classifier import (ModelBadMagicError, ModelTruncatedError,
                                       load_model, save_model, train_ovr)
-    from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
     from scenefuse.weights import (BadMagicError, TruncatedFileError,
                                    load_weights, random_bundle, save_weights)
 
     # HDFW
-    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 6), LayerSpec(CONV3X3, 6, 4)))
-    bundle = random_bundle(spec, seed=2)
+    bundle = random_bundle((6, 4), seed=2)
     wpath = tmp_path / "w.hdfw"
     save_weights(bundle, str(wpath))
     original = wpath.read_bytes()

@@ -312,6 +312,7 @@ class TestExperiment:
         assert f"the protocol needs {protocol_reps}" in err
         assert not (out / "report.json").exists()
         assert not list(out.rglob("*.*"))  # no cache file or result record
+        assert not out.exists()
 
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
@@ -323,6 +324,27 @@ class TestExperiment:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("option, value", [
+        ("--train-per-class", 4), ("--test-per-class", "rest"), ("--repetitions", 3)])
+    def test_preset_protocol_rejects_custom_options(self, option, value, source,
+                                                    tiny_dataset, weight_files, tmp_path,
+                                                    capsys):
+        root, _ = tiny_dataset
+        obj_w, scn_w = weight_files
+        out = tmp_path / "o"
+        args = ["experiment", "--dataset", str(root), "--object-weights", obj_w,
+                "--scene-weights", scn_w, "--protocol", "mit67", "--out", str(out)]
+        if source == "flag":
+            args += [option, str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option[2:].replace("-", "_"): value}))
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert option in capsys.readouterr().err
+        assert not out.exists()
 
 
 def experiment_args(tiny_dataset, weight_files, out):
@@ -381,16 +403,18 @@ class TestConfigValues:
 
 
 # the options each command once took and takes no longer: those it did not read,
-# bench's shape flags (bench times one fixed shape) and validate-weights' --trunk
-# (a bundle's conv count picks its trunk)
+# bench's shape flags (bench times one fixed shape), validate-weights' --trunk
+# (a bundle's conv count picks its trunk), --threads where no BLAS call runs and
+# --config where no option is left to set
 REMOVED_OPTIONS = {
-    "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
+    "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed",
+              "--threads"),
     "extract": ("--seed",),
     "train": ("--object-weights", "--scene-weights", "--pool", "--feature-type"),
     "eval": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
     "experiment": ("--pool",),
     "validate-weights": ("--object-weights", "--scene-weights", "--pool", "--feature-type",
-                         "--seed", "--out", "--trunk"),
+                         "--seed", "--out", "--trunk", "--threads", "--config"),
     "bench": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--out",
               "--channels-in", "--height", "--width", "--channels-out"),
 }
@@ -427,7 +451,8 @@ class TestOptionSurface:
         values = {"--object-weights": weight_files[0], "--scene-weights": weight_files[1],
                   "--pool": "max", "--feature-type": "ow", "--seed": 1,
                   "--out": str(tmp_path / "out"), "--channels-in": 2, "--height": 8,
-                  "--width": 8, "--channels-out": 2, "--trunk": "any"}
+                  "--width": 8, "--channels-out": 2, "--trunk": "any", "--threads": 1,
+                  "--config": str(tmp_path / "cfg.json")}
         args = list(valid_args[command])
         key = option[2:].replace("-", "_")
         if source == "flag":
@@ -438,7 +463,12 @@ class TestOptionSurface:
             args += ["--config", str(cfg)]
         assert cli.main(args) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert (option if source == "flag" else repr(key)) in err
+        if source == "flag":
+            assert option in err
+        elif "--config" in REMOVED_OPTIONS[command]:
+            assert "--config" in err  # the command takes no config file at all
+        else:
+            assert repr(key) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option, value", [("--repeats", "-2")])
@@ -468,7 +498,7 @@ class TestOptionSurface:
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
             section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
-        documented = {m[1]: set(re.findall(r"`([^`]+)`", m[2])) | {"--config", "--threads"}
+        documented = {m[1]: set(re.findall(r"`([^`]+)`", m[2]))
                       for m in re.finditer(r"^- `([a-z-]+)`: (.*(?:\n  .*)*)", section, re.M)}
         parsed = {name: {a.option_strings[0] if a.option_strings else a.dest
                          for a in command._actions if a.dest != "help"}
@@ -478,13 +508,10 @@ class TestOptionSurface:
 
 def three_conv_bundle(tmp_path):
     """A weight file of three convs: a count no trunk but vgg16's can take."""
-    from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec
     from scenefuse.weights import random_bundle
 
-    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 4),
-                        LayerSpec(CONV3X3, 4, 512)))
     path = tmp_path / "three.hdfw"
-    save_weights(random_bundle(spec, seed=0), str(path))
+    save_weights(random_bundle((4, 4, 512), seed=0), str(path))
     return path
 
 
@@ -609,8 +636,8 @@ class TestBenchAndConfig:
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
 
-    def test_bad_threads_rejected(self, sample_image, tmp_path):
-        rc = cli.main(["slice", sample_image, "--out", str(tmp_path / "o"),
+    def test_bad_threads_rejected(self, cache_path, tmp_path):
+        rc = cli.main(["train", "--features", cache_path, "--out", str(tmp_path / "o"),
                        "--threads", "0"])
         assert rc == cli.EXIT_CONFIG
 
@@ -619,10 +646,10 @@ class TestBenchAndConfig:
         # works if numpy is not yet loaded when main applies it, after the
         # parser is built and the config file read
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threads": 1, "fill": "1,2,3"}))
+        cfg.write_text(json.dumps({"threads": 1, "folds": 3}))
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = ("import sys, scenefuse.cli as cli; parser = cli.build_parser(); "
-                f"cli._read_config({str(cfg)!r}, cli.commands(parser)['slice']); "
+                f"cli._read_config({str(cfg)!r}, cli.commands(parser)['train']); "
                 "sys.exit('numpy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
@@ -736,6 +763,7 @@ class TestExtractFailures:
             assert str(victim) in err
         assert not (out / "report.json").exists()
         assert list(out.rglob("*.hdfc")) == []
+        assert not out.exists()
 
     def test_one_class_cache_is_data_error(self, tmp_path, capsys):
         from scenefuse.cache import save_cache

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from scenefuse import engine
 from scenefuse.engine import (
-    CONV3X3, MAXPOOL2, LayerSpec, NetworkSpec, conv2d, conv2d_naive,
+    POOL, conv2d, conv2d_naive, conv_channels,
     forward_delta_to_pool5, forward_pair_to_pool5, forward_to_pool5, gap, maxpool2,
     vgg16_spec, zero_reference,
 )
@@ -204,23 +204,18 @@ class TestGap:
 class TestNetworkSpec:
     def test_canonical_counts(self):
         spec = vgg16_spec()
-        assert len(spec.conv_layers) == 13
-        assert spec.pool_count == 5
-        assert spec.conv_layers[-1].out_channels == 512
-
-    def test_channel_chain_enforced(self):
-        with pytest.raises(ValueError, match="chain"):
-            NetworkSpec((LayerSpec(CONV3X3, 3, 8), LayerSpec(CONV3X3, 4, 8)))
+        assert len(conv_channels(spec)) == 13
+        assert spec.count(POOL) == 5
+        assert conv_channels(spec)[-1][1] == 512
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            LayerSpec("conv5x5")
+        for layer in ["conv5x5", 0, -8, 8.0, True, None]:
+            with pytest.raises(ValueError, match=f"layer {layer!r} is neither"):
+                conv_channels((8, POOL, layer, POOL))
 
 
 def small_spec():
-    return NetworkSpec((
-        LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 5), LayerSpec(MAXPOOL2),
-    ))
+    return (4, 5, POOL)
 
 
 class TestForward:
@@ -257,7 +252,7 @@ class TestForward:
 
     def test_weight_mismatch_rejected(self, rng):
         spec = small_spec()
-        wrong = random_bundle(NetworkSpec(spec.layers[:1]), seed=0)
+        wrong = random_bundle(spec[:1], seed=0)
         with pytest.raises(ValueError, match="entries"):
             forward_to_pool5(spec, wrong, f32(3, 8, 8, rng=rng))
 
@@ -319,12 +314,7 @@ def biased_bundle(spec, seed, **kwargs):
 def mini_spec():
     """A GEMM-bound trunk on 32x32 inputs: partial patches down to 8x8, and a
     last conv at 4x4 whose zero-reference band covers the whole map."""
-    return NetworkSpec((
-        LayerSpec(CONV3X3, 3, 16), LayerSpec(CONV3X3, 16, 256), LayerSpec(MAXPOOL2),
-        LayerSpec(CONV3X3, 256, 128), LayerSpec(MAXPOOL2),
-        LayerSpec(CONV3X3, 128, 128), LayerSpec(MAXPOOL2),
-        LayerSpec(CONV3X3, 128, 64), LayerSpec(MAXPOOL2),
-    ))
+    return (16, 256, POOL, 128, POOL, 128, POOL, 64, POOL)
 
 
 def count_gemm_work(monkeypatch):
@@ -520,12 +510,13 @@ class TestDeltaForwardsOnVgg16:
         spec, bundle, zero, views = vgg16_views
         work = count_gemm_work(monkeypatch)
         delta_forwards(spec, bundle, zero, views)
-        full, size = 0, 224
-        for layer in spec.layers:
-            if layer.kind == CONV3X3:
-                full += 9 * layer.in_channels * layer.out_channels * size * size
-            else:
+        full, size, c_in = 0, 224, 3
+        for layer in spec:
+            if layer == POOL:
                 size //= 2
+            else:
+                full += 9 * c_in * layer * size * size
+                c_in = layer
         assert sum(work) <= 0.80 * 20 * full
 
     def test_pair_holds_under_a_fifth_more_than_a_forward(self, vgg16_views):

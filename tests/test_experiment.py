@@ -135,6 +135,24 @@ class TestBaseFeatures:
         compute_base_features(manifest, *stub_pair, cache_dir)
         assert len(calls) == 1  # the rewritten caches recorded the new mtime
 
+    def test_a_missing_stamps_record_is_named(self, tiny_dataset, stub_pair, tmp_path,
+                                              monkeypatch, caplog):
+        # as after a run killed between writing a cache and its record
+        _, manifest = tiny_dataset
+        cache_dir = tmp_path / "cache"
+        first, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
+        record = sorted(cache_dir.glob("*.stamps.json"))[0]
+        record.unlink()
+
+        calls = self.count_extractions(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
+            again, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
+        assert len(calls) == 1
+        assert f"{record} is missing" in caplog.text
+        assert "changed since" not in caplog.text
+        for s in SOURCES:
+            assert np.array_equal(first[s], again[s])
+
     def test_a_future_dated_image_is_extracted_once(self, tiny_dataset, stub_pair,
                                                      tmp_path, monkeypatch):
         root, _ = tiny_dataset

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from conftest import traced_peak
 from corruption import corruptions, load_bytes, saved_bytes
 from scenefuse.binfile import BoundedReader
-from scenefuse.engine import CONV3X3, LayerSpec, NetworkSpec, validate_bundle, vgg16_spec
+from scenefuse.engine import validate_bundle, vgg16_spec
 from scenefuse.weights import (
     BadMagicError, ConvEntry, ShapeError, TruncatedFileError, WeightBundle,
     WeightFileError, load_weights, random_bundle, save_weights,
@@ -16,7 +16,7 @@ from scenefuse.weights import (
 
 
 def small_bundle():
-    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 4), LayerSpec(CONV3X3, 4, 2)))
+    spec = (4, 2)
     return random_bundle(spec, seed=7, means=(10.0, 20.0, 30.0))
 
 
@@ -48,9 +48,9 @@ def test_round_trip_bit_identical(bundle, tmp_path):
 
 
 def test_load_holds_no_copy_of_the_file(tmp_path):
-    # three 256-channel convs, 7 MB of kernels: a buffer of the whole file or
-    # a second copy of each array would more than double the peak
-    spec = NetworkSpec((LayerSpec(CONV3X3, 256, 256),) * 3)
+    # a 3->256 conv, then three 256->256 ones, 7 MB of kernels: a buffer of the
+    # whole file or a second copy of each array would more than double the peak
+    spec = (256,) * 4
     path = tmp_path / "w.hdfw"
     save_weights(random_bundle(spec, seed=0), str(path))
     loaded, peak = traced_peak(lambda: load_weights(str(path)))
@@ -62,7 +62,7 @@ def test_load_holds_no_copy_of_the_file(tmp_path):
 def test_save_holds_no_copy_of_the_file(tmp_path):
     # the same 7 MB of kernels: joining the fields, or a bytes copy of each
     # array, would put a second copy of the file on the heap
-    bundle = random_bundle(NetworkSpec((LayerSpec(CONV3X3, 256, 256),) * 3), seed=0)
+    bundle = random_bundle((256,) * 4, seed=0)
     path = tmp_path / "w.hdfw"
     _, peak = traced_peak(lambda: save_weights(bundle, str(path)))
     assert peak <= 0.1 * path.stat().st_size
@@ -156,7 +156,7 @@ def test_random_bundle_fits_canonical():
 
 
 def test_out_of_range_means_rejected():
-    spec = NetworkSpec((LayerSpec(CONV3X3, 3, 2),))
+    spec = (2,)
     bundle = WeightBundle(
         entries=random_bundle(spec, seed=0).entries,
         means=np.array([300.0, 0.0, 0.0], dtype=np.float32),
