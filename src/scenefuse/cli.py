@@ -235,7 +235,7 @@ def cmd_slice(args) -> int:
 def cmd_extract(args) -> int:
     from .cache import save_cache
     from .datasets import DatasetError, scan_dataset
-    from .experiment import FeatureConfig, config_matrix, extract_dataset
+    from .experiment import FeatureConfig, config_matrix, extract_dataset, unreadable
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
@@ -246,21 +246,22 @@ def cmd_extract(args) -> int:
     manifest = scan_dataset(args.dataset)
     paths, labels = manifest.flat_paths_labels()
 
-    # a file that cannot be read is skipped and reported; the rest are written
-    base, failed = extract_dataset(paths, object_backend, scene_backend, config.sources)
+    # an unreadable file is reported before the first forward; the rest are written
+    failed = unreadable(paths)
     if failed:
-        print(*(f"error: {message}" for _, message in failed),
+        print(*(f"error: {message}" for message in failed.values()),
               f"{len(failed)} files failed", sep="\n", file=sys.stderr)
     if len(failed) == len(paths):
         raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
-    bad = {path for path, _ in failed}
-    kept = [i for i, path in enumerate(paths) if path not in bad]
+    kept = [i for i, path in enumerate(paths) if path not in failed]
+    paths = [paths[i] for i in kept]
+    base = extract_dataset(paths, object_backend, scene_backend, config.sources)
     matrix = config_matrix(base, config)
 
     suffix = f"{feature_type}-{args.pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
-    save_cache(cache_path, labels[kept], [paths[i] for i in kept], matrix)
+    save_cache(cache_path, labels[kept], paths, matrix)
     print(f"wrote {len(kept)} records (dim {config.dim}) to {cache_path}")
     return EXIT_DATA if failed else EXIT_OK
 

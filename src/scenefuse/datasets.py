@@ -136,15 +136,14 @@ def protocol_preset(name: str, seed: int = 0) -> SplitProtocol:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Per repetition and per class: disjoint train/test index tuples.
-
-    Indices refer to the positions inside each class's path list of the
-    manifest the plan was made from.
+    """Per repetition and per class of the manifest, in its order: disjoint
+    train and test tuples of image paths, in manifest order from `make_split`
+    and in file order from `load_split`; that order sets the classifier's rows.
     """
 
     dataset: str
     seed: int
-    repetitions: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    repetitions: tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], ...]
 
 
 def make_split(manifest: DatasetManifest, protocol: SplitProtocol) -> SplitPlan:
@@ -171,27 +170,25 @@ def make_split(manifest: DatasetManifest, protocol: SplitProtocol) -> SplitPlan:
                     protocol.train_per_class : protocol.train_per_class
                     + protocol.test_per_class
                 ]
-            per_class.append((tuple(sorted(int(i) for i in train)),
-                              tuple(sorted(int(i) for i in test))))
+            per_class.append((tuple(paths[i] for i in sorted(train)),
+                              tuple(paths[i] for i in sorted(test))))
         reps.append(tuple(per_class))
     return SplitPlan(dataset=manifest.name, seed=protocol.seed, repetitions=tuple(reps))
 
 
 def save_split(plan: SplitPlan, manifest: DatasetManifest, path: str) -> None:
-    """Export a plan with resolved image paths as JSON."""
+    """Export a plan as JSON: per repetition, each class's train and test
+    path lists, unchanged, under the manifest's class names."""
     reps = []
     for per_class in plan.repetitions:
-        train = {}
-        test = {}
-        for (class_name, paths), (train_idx, test_idx) in zip(manifest.classes, per_class):
-            train[class_name] = [paths[i] for i in train_idx]
-            test[class_name] = [paths[i] for i in test_idx]
-        reps.append({"train": train, "test": test})
+        named = list(zip(manifest.class_names, per_class))
+        reps.append({"train": {name: list(train) for name, (train, _) in named},
+                     "test": {name: list(test) for name, (_, test) in named}})
     write_json(path, {"dataset": plan.dataset, "seed": plan.seed, "repetitions": reps})
 
 
 def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
-    """Restore a plan from JSON, resolving paths back to class indices.
+    """Restore a plan from JSON; each path list keeps the file's order.
 
     This is how an externally supplied (e.g. official) split list is fed
     into the harness. A file not in `save_split`'s layout, or one that names
@@ -207,34 +204,25 @@ def load_split(path: str, manifest: DatasetManifest) -> SplitPlan:
             for rep in repetitions):
         raise DatasetError(f"{path}: not a split file: needs a 'repetitions' list of "
                            "'train' and 'test' objects mapping class names to path lists")
-    position = {
-        class_name: {p: i for i, p in enumerate(paths)}
-        for class_name, paths in manifest.classes
-    }
+    images = {class_name: set(paths) for class_name, paths in manifest.classes}
     reps = []
     for r, rep in enumerate(repetitions):
-        unknown = sorted((set(rep["train"]) | set(rep["test"])) - set(position))
+        unknown = sorted((set(rep["train"]) | set(rep["test"])) - set(images))
         if unknown:
             raise DatasetError(f"{path}: repetition {r} names class {unknown[0]!r}, "
                                "which the dataset does not have")
         per_class = []
-        for class_name, class_paths in manifest.classes:
-            entry = []
-            for part in ("train", "test"):
-                listed = rep[part].get(class_name, [])
-                try:
-                    entry.append(tuple(position[class_name][p] for p in listed))
-                except KeyError as exc:
-                    raise DatasetError(
-                        f"{path}: split references unknown image {exc.args[0]!r} "
-                        f"in class {class_name!r}"
-                    ) from None
-            train, test = entry
+        for class_name, known in images.items():
+            train, test = (tuple(rep[part].get(class_name, [])) for part in ("train", "test"))
             both = train + test
+            stray = next((p for p in both if p not in known), None)
+            if stray is not None:
+                raise DatasetError(f"{path}: split references unknown image {stray!r} "
+                                   f"in class {class_name!r}")
             if len(set(both)) < len(both):
-                repeated = next(i for k, i in enumerate(both) if i in both[:k])
+                repeated = next(p for k, p in enumerate(both) if p in both[:k])
                 raise DatasetError(f"{path}: repetition {r} lists image "
-                                   f"{class_paths[repeated]!r} more than once in train and test")
+                                   f"{repeated!r} more than once in train and test")
             per_class.append((train, test))
         reps.append(tuple(per_class))
     return SplitPlan(dataset=doc.get("dataset", manifest.name),

@@ -144,8 +144,8 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
 
 def _stamp(path: str) -> list[int] | None:
     """An image's [size, mtime_ns], or None if it cannot be stat'ed. A None
-    stamp misses the cache, so `extract_dataset` reports that image's read
-    with every other one that fails."""
+    stamp misses the cache, and `unreadable` then names that image with
+    every other one that cannot be read."""
     try:
         st = os.stat(path)
     except OSError:
@@ -175,30 +175,33 @@ def _try_load_base(cache_paths, paths, labels, stamps):
     return mats
 
 
-def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backend | None,
-                    sources=SOURCES):
-    """The one loop over a dataset's images; returns (matrices, failed).
-
-    `matrices` maps each source to a float32 (N_ok, 512) array, one row per
-    image read, in the order of `paths`. A failed read (NetpbmError,
-    OSError) adds a (path, message naming the path) pair to `failed` and
-    the loop goes on; any other error propagates.
-    """
-    mats = {s: np.empty((len(paths), FEATURE_DIM), dtype=np.float32) for s in sources}
-    failed = []
-    row = 0
+def unreadable(paths) -> dict[str, str]:
+    """Maps each image of `paths` that `read_raster` rejects (NetpbmError,
+    OSError) to a message naming it, in the order of `paths`."""
+    failed = {}
     for path in paths:
         try:
-            raster = read_raster(path)
+            read_raster(path)
         except (NetpbmError, OSError) as exc:
             message = str(exc)  # the reader's errors name the file already
-            failed.append((path, message if path in message else f"{path}: {message}"))
-            continue
-        base = extract_base_features(object_backend, scene_backend, raster, sources)
+            failed[path] = message if path in message else f"{path}: {message}"
+    return failed
+
+
+def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backend | None,
+                    sources=SOURCES):
+    """The one loop over a dataset's images; returns the matrices.
+
+    They map each source to a float32 (N, 512) array, one row per image, in
+    the order of `paths`. An image that cannot be read raises from
+    `read_raster`, so callers check `paths` with `unreadable` first.
+    """
+    mats = {s: np.empty((len(paths), FEATURE_DIM), dtype=np.float32) for s in sources}
+    for row, path in enumerate(paths):
+        base = extract_base_features(object_backend, scene_backend, read_raster(path), sources)
         for source in sources:
             mats[source][row] = base[source]
-        row += 1
-    return {s: m[:row] for s, m in mats.items()}, failed
+    return mats
 
 
 def compute_base_features(
@@ -214,9 +217,9 @@ def compute_base_features(
     `sources` to an (N, 512) float32 array in manifest order; a backend
     none of whose sources is requested may be None. When `cache_dir` is
     given, each source's cache is keyed by its own backend's digest;
-    matching caches are reused and fresh results are written back. Images
-    that cannot be read raise one DatasetError naming them all, before any
-    cache is written.
+    matching caches are reused and fresh results are written back. On a
+    cache miss, images that cannot be read raise one DatasetError naming
+    them all, before the first forward and before any cache is written.
     """
     paths, labels = manifest.flat_paths_labels()
     sources = [s for s in SOURCES if s in sources]
@@ -229,10 +232,11 @@ def compute_base_features(
         if cached is not None:
             return cached, labels, paths
 
-    mats, failed = extract_dataset(paths, object_backend, scene_backend, sources)
+    failed = unreadable(paths)
     if failed:
         raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
-                           + "; ".join(message for _, message in failed))
+                           + "; ".join(failed.values()))
+    mats = extract_dataset(paths, object_backend, scene_backend, sources)
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -286,7 +290,8 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
         record = load_record(path, fields, ("chosen_c", "accuracy"))
         if record is not None:
             chosen_c, accuracy = record["chosen_c"], record["accuracy"]
-            if chosen_c not in fields["c_values"] or type(accuracy) is not float:
+            if (type(chosen_c) is not int or chosen_c not in fields["c_values"]
+                    or type(accuracy) is not float):
                 raise CacheFileError(f"{path}: result record holds chosen C {chosen_c!r} "
                                      f"and accuracy {accuracy!r}")
             logger.info("reused result record %s", path)
@@ -297,16 +302,6 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
     if cache_dir:
         save_record(path, fields, {"chosen_c": chosen_c, "accuracy": accuracy})
     return chosen_c, accuracy, False
-
-
-def _flat_indices(manifest: DatasetManifest, per_class) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.cumsum([0] + [len(paths) for _, paths in manifest.classes[:-1]])
-    train = []
-    test = []
-    for offset, (train_idx, test_idx) in zip(offsets, per_class):
-        train.append(offset + np.asarray(train_idx, dtype=np.intp))
-        test.append(offset + np.asarray(test_idx, dtype=np.intp))
-    return np.concatenate(train), np.concatenate(test)
 
 
 def run_experiment(
@@ -337,10 +332,14 @@ def run_experiment(
     elif len(plan.repetitions) != protocol.repetitions:
         raise DatasetError(f"split plan has {len(plan.repetitions)} repetitions, "
                            f"the protocol needs {protocol.repetitions}")
-    base, labels, _ = compute_base_features(
+    base, labels, paths = compute_base_features(
         manifest, object_backend, scene_backend, cache_dir,
         {source for config in configs for source in config.sources}
     )
+    # each repetition's train and test rows, class by class in the plan's order
+    row = {path: i for i, path in enumerate(paths)}
+    splits = [[np.array([row[p] for pair in per_class for p in pair[part]], dtype=np.intp)
+               for part in (0, 1)] for per_class in plan.repetitions]
 
     protocol_doc = {
         "kind": protocol.kind,
@@ -355,10 +354,10 @@ def run_experiment(
             X = config_matrix(base, config)
             per_rep = []
             chosen = []
-            for rep, per_class in enumerate(plan.repetitions):
+            for rep, (train_idx, test_idx) in enumerate(splits):
                 chosen_c, accuracy, from_record = _result(
                     cache_dir, config, folds, _tune_seed(protocol.seed, rep), c_values,
-                    X, labels, *_flat_indices(manifest, per_class))
+                    X, labels, train_idx, test_idx)
                 per_rep.append(accuracy)
                 chosen.append(chosen_c)
                 reused += from_record

@@ -54,6 +54,9 @@ RECORD_DAMAGE = {
         {k: v for k, v in json.loads(text).items() if k != "accuracy"}),
     "other configuration": lambda text: json.dumps({**json.loads(text), "config": "OX"}),
     "C off the grid": lambda text: json.dumps({**json.loads(text), "chosen_c": 0}),
+    # `True in [1, ...]` and `1.0 in [1, ...]` both hold, so each passes a membership check
+    "C is true": lambda text: json.dumps({**json.loads(text), "chosen_c": True}),
+    "C is 1.0": lambda text: json.dumps({**json.loads(text), "chosen_c": 1.0}),
 }
 
 

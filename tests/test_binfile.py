@@ -56,7 +56,7 @@ WRITERS = {
         np.zeros(3, "f4")), os.path.join(d, "w.hdfw"))),
     "save_model": ("m.hdfm", lambda d: save_model(MODEL, os.path.join(d, "m.hdfm"))),
     "save_split": ("s.json", lambda d: save_split(
-        SplitPlan("set", 0, ((((0,), (1,)), ((1,), (0,))),)),
+        SplitPlan("set", 0, (((("a0",), ("a1",)), (("b1",), ("b0",))),)),
         DatasetManifest("set", (("a", ("a0", "a1")), ("b", ("b0", "b1")))),
         os.path.join(d, "s.json"))),
     "run_experiment": ("report.json", _experiment),

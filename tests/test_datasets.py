@@ -116,9 +116,18 @@ class TestMakeSplit:
         manifest = fake_manifest(classes=3, per_class=210)
         plan = make_split(manifest, protocol_preset("scene15", seed=2))
         for per_class in plan.repetitions:
-            for train, test in per_class:
+            for (train, test), (_, paths) in zip(per_class, manifest.classes):
                 assert len(train) == 100 and len(test) == 110
-                assert sorted(train + test) == list(range(210))
+                assert sorted(train + test) == sorted(paths)
+
+    def test_lists_paths_in_manifest_order(self):
+        manifest = fake_manifest(classes=3, per_class=20)
+        plan = make_split(manifest, SplitProtocol("repeated_random", 8, 6, 3, seed=4))
+        for per_class in plan.repetitions:
+            for (train, test), (_, paths) in zip(per_class, manifest.classes):
+                for listed in (train, test):
+                    assert all(isinstance(p, str) for p in listed)
+                    assert list(listed) == [p for p in paths if p in listed]
 
     def test_deterministic(self):
         manifest = fake_manifest(classes=4, per_class=20)
@@ -147,6 +156,26 @@ class TestSplitFiles:
         path = tmp_path / "split.json"
         save_split(plan, manifest, str(path))
         assert load_split(str(path), manifest) == plan
+
+    def test_a_file_keeps_its_order_through_a_round_trip(self, tmp_path):
+        manifest = fake_manifest(classes=3, per_class=12)
+        plan = make_split(manifest, SplitProtocol("repeated_random", 6, 4, 2, seed=5))
+        path = tmp_path / "split.json"
+        save_split(plan, manifest, str(path))
+        doc = json.loads(path.read_text())
+        for rep in doc["repetitions"]:
+            for part in ("train", "test"):
+                for listed in rep[part].values():
+                    listed.reverse()
+        path.write_text(json.dumps(doc))
+        loaded = load_split(str(path), manifest)
+        assert loaded.repetitions == tuple(
+            tuple((train[::-1], test[::-1]) for train, test in per_class)
+            for per_class in plan.repetitions)
+        again = tmp_path / "again.json"
+        save_split(loaded, manifest, str(again))
+        assert json.loads(again.read_text()) == doc
+        assert load_split(str(again), manifest) == loaded
 
     def test_unknown_path_rejected(self, tmp_path):
         manifest = fake_manifest(classes=2, per_class=6)

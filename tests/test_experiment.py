@@ -15,10 +15,10 @@ from scenefuse.datasets import (REPEATED_RANDOM, DatasetError, DatasetManifest, 
                                  scan_dataset)
 from scenefuse.experiment import (
     FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
-    extract_dataset, format_table, run_experiment, tune_cost,
+    format_table, run_experiment, tune_cost, unreadable,
 )
 from scenefuse.pipeline import SOURCES
-from scenefuse.synthetic import stub_backend_pair
+from scenefuse.synthetic import make_synthetic_dataset, stub_backend_pair
 
 
 @pytest.fixture(scope="module")
@@ -196,23 +196,38 @@ class TestBaseFeatures:
             assert mat.shape == (1, 512) and mat.dtype == np.float32
         assert list(labels) == [0] and paths == [class_paths[0]]
 
-    def test_unreadable_image_is_recorded_and_skipped(self, tiny_dataset, stub_pair,
-                                                      tmp_path):
+    def test_unreadable_names_each_bad_image(self, tiny_dataset, tmp_path):
         _, manifest = tiny_dataset
         good, _ = manifest.flat_paths_labels()
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\nshort")
         missing = str(tmp_path / "missing.ppm")
-        paths = [good[0], str(bad), good[5], missing, good[9]]
-        mats, failed = extract_dataset(paths, *stub_pair, ("ow", "sp"))
-        assert [path for path, _ in failed] == [str(bad), missing]
-        for path, message in failed:
+        failed = unreadable([good[0], str(bad), good[5], missing, good[9]])
+        assert list(failed) == [str(bad), missing]
+        for path, message in failed.items():
             assert message.count(path) == 1
-        whole, none_failed = extract_dataset([good[0], good[5], good[9]], *stub_pair,
-                                             ("ow", "sp"))
-        assert none_failed == [] and sorted(mats) == ["ow", "sp"]
-        for source in ("ow", "sp"):
-            assert np.array_equal(mats[source], whole[source])
+        assert unreadable(good) == {}
+
+    def test_an_unreadable_image_stops_the_run_before_any_forward(self, stub_pair, tmp_path,
+                                                                   monkeypatch):
+        manifest = make_synthetic_dataset(str(tmp_path / "data"), classes=2, per_class=5,
+                                          size=(16, 16))
+        first = manifest.flat_paths_labels()[0][0]
+        with open(first, "r+b") as fh:
+            fh.truncate(20)  # the header and a few bytes of the raster
+        calls = []
+        original = experiment.extract_base_features
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "extract_base_features", counting)
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(DatasetError, match="1 of 10 images") as err:
+            compute_base_features(manifest, *stub_pair, str(cache_dir))
+        assert first in str(err.value)
+        assert calls == [] and not cache_dir.exists()
 
     def test_config_matrix_shapes(self, rng):
         base = {s: rng.normal(0, 1, (6, 512)).astype(np.float32) for s in SOURCES}
