@@ -85,8 +85,8 @@ _OPTIONS = {
     "--scene-weights": {"help": "HDFW bundle for the scene trunk"},
     "--feature-type": {"choices": ("hdf", "op", "ow", "sp", "sw"), "default": "hdf",
                        "help": "descriptor (default %(default)s; experiment: all eight)"},
-    "--pool": {"choices": ("max", "mean", "min", "concat"), "default": "concat",
-               "help": "fusion operator for hdf features (default %(default)s)"},
+    "--pool": {"choices": ("max", "mean", "min", "concat"),
+               "help": "fusion operator, only for --feature-type hdf (default concat)"},
     "--features": {"help": "HDFC feature cache"},
     "--model": {"help": "HDFM model file"},
     "--folds": {"type": _at_least(2), "default": 5,
@@ -241,7 +241,10 @@ def cmd_extract(args) -> int:
         raise CliConfigError("missing --dataset root")
     out_dir = _require_out(args)
     feature_type = args.feature_type
-    config = FeatureConfig(feature_type, args.pool if feature_type == "hdf" else None)
+    if feature_type != "hdf" and args.pool:
+        raise CliConfigError(f"--pool applies only to --feature-type hdf, not {feature_type}")
+    pool = args.pool or "concat"
+    config = FeatureConfig(feature_type, pool if feature_type == "hdf" else None)
     object_backend, scene_backend = _load_backends(args, config.sources)
     manifest = scan_dataset(args.dataset)
     paths, labels = manifest.flat_paths_labels()
@@ -258,7 +261,7 @@ def cmd_extract(args) -> int:
     base = extract_dataset(paths, object_backend, scene_backend, config.sources)
     matrix = config_matrix(base, config)
 
-    suffix = f"{feature_type}-{args.pool}" if feature_type == "hdf" else feature_type
+    suffix = f"{feature_type}-{pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
     save_cache(cache_path, labels[kept], paths, matrix)

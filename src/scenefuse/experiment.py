@@ -153,9 +153,19 @@ def _stamp(path: str) -> list[int] | None:
     return [st.st_size, st.st_mtime_ns]
 
 
+def _changed(cache_path, paths, old, new) -> bool:
+    """Whether the per-image lists `old` and `new` differ; logs the first image that does."""
+    if old == new:
+        return False
+    changed = next((image for image, a, b in zip(paths, old, new) if a != b), "the image list")
+    logger.info("%s changed since %s was written; re-extracting", changed, cache_path)
+    return True
+
+
 def _try_load_base(cache_paths, paths, labels, stamps):
     if None in stamps or not all(map(os.path.isfile, cache_paths.values())):
         return None
+    listed = list(zip(paths, labels.tolist()))
     mats = {}
     for source, path in cache_paths.items():
         record = load_record(f"{path}.stamps.json", {}, ("images",))
@@ -163,13 +173,10 @@ def _try_load_base(cache_paths, paths, labels, stamps):
             logger.info("%s.stamps.json is missing; re-extracting", path)
             return None
         stored = record["images"] if isinstance(record["images"], list) else []
-        if stored != stamps:
-            changed = next((image for image, old, new in zip(paths, stored, stamps)
-                            if old != new), "the image list")
-            logger.info("%s changed since %s was written; re-extracting", changed, path)
+        if _changed(path, paths, stored, stamps):
             return None
         cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
-        if cached_paths != paths or not np.array_equal(cached_labels, labels):
+        if _changed(path, paths, list(zip(cached_paths, cached_labels.tolist())), listed):
             return None
     logger.info("loaded cached base features: %s", ", ".join(cache_paths.values()))
     return mats
@@ -177,7 +184,7 @@ def _try_load_base(cache_paths, paths, labels, stamps):
 
 def unreadable(paths) -> dict[str, str]:
     """Maps each image of `paths` that `read_raster` rejects (NetpbmError,
-    OSError) to a message naming it, in the order of `paths`."""
+    OSError) to a message naming it, in `paths` order, holding one file's bytes at a time."""
     failed = {}
     for path in paths:
         try:
@@ -224,8 +231,11 @@ def compute_base_features(
     paths, labels = manifest.flat_paths_labels()
     sources = [s for s in SOURCES if s in sources]
     if cache_dir:
-        cache_paths = {s: _cache_path(cache_dir, manifest.name, s, backend_digest(
-            object_backend if s in ("op", "ow") else scene_backend)) for s in sources}
+        owners = {s: object_backend if s in ("op", "ow") else scene_backend for s in sources}
+        needed = {b.kind: b for b in owners.values()}  # by kind: a Backend is no dict key
+        digests = {kind: backend_digest(b) for kind, b in needed.items()}
+        cache_paths = {s: _cache_path(cache_dir, manifest.name, s, digests[b.kind])
+                       for s, b in owners.items()}
         # taken before extraction, so an image changed while it runs is seen next time
         stamps = [_stamp(path) for path in paths]
         cached = _try_load_base(cache_paths, paths, labels, stamps)

@@ -67,19 +67,17 @@ def _parse_netpbm(path: str, data: bytes, magic: bytes, channels: int) -> np.nda
 
 
 def read_raster(path: str) -> np.ndarray:
-    """Read a PPM or PGM into a (H, W, 3) float32 array in [0, 255].
+    """Read a PPM or PGM into its (H, W, 3) uint8 pixels, possibly read-only.
 
     Graymaps are replicated across the three channels.
     """
     data = Path(path).read_bytes()
     head = data[:2]
     if head == b"P6":
-        img = _parse_netpbm(path, data, head, 3)
-    elif head == b"P5":
-        img = np.repeat(_parse_netpbm(path, data, head, 1)[:, :, None], 3, axis=2)
-    else:
-        raise NetpbmError(f"{path}: not a binary PPM/PGM file (magic {head!r})")
-    return img.astype(np.float32)
+        return _parse_netpbm(path, data, head, 3)
+    if head == b"P5":
+        return np.repeat(_parse_netpbm(path, data, head, 1)[:, :, None], 3, axis=2)
+    raise NetpbmError(f"{path}: not a binary PPM/PGM file (magic {head!r})")
 
 
 def _write_netpbm(path: str, magic: bytes, arr: np.ndarray) -> None:

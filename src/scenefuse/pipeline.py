@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classifier import TrainingDataError
 from .engine import (forward_delta_to_pool5, forward_pair_to_pool5, forward_to_pool5, gap,
                      validate_bundle, vgg16_spec, zero_reference)
 from .resize import bilinear_resize
@@ -61,7 +62,8 @@ class Backend:
 
 
 def resize_to_working(raster: np.ndarray) -> np.ndarray:
-    """Bilinear-resize an (H, W, 3) raster to the channel-major working image.
+    """Bilinear-resize an (H, W, 3) raster, such as `read_raster`'s uint8 pixels,
+    to the channel-major float32 working image: the one conversion of pixels.
 
     Stays in pixel-intensity units; each trunk's means are subtracted later.
     """
@@ -83,7 +85,7 @@ def extract_base_features(
     """The requested base descriptors of one image, each a float32 (512,) array.
 
     Only the sources named in `sources` are computed; a backend none of
-    whose sources is requested may be None. The raster is resized once.
+    whose sources is requested may be None. The uint8 or float raster is resized once.
     Part-level sources are the mean of the 20 per-slice descriptors; slices
     are cut from the working image minus the backend means, with masked
     pixels filled with 0. Each mask is rendered once per distinct means and
@@ -163,7 +165,7 @@ def fuse_matrix(parts: dict[str, np.ndarray], pool_op: str) -> np.ndarray:
     `parts` maps each of op, ow, sp, sw to an (N, 512) array; rows
     correspond across sources, and a single image is a one-row matrix.
     concat lays the sources out in the order op, ow, sp, sw (2048 dims);
-    max/mean/min pool them elementwise (512 dims). Zero rows are rejected.
+    max/mean/min pool them elementwise (512 dims). A zero row is a TrainingDataError.
     """
     if pool_op not in POOL_OPS:
         raise ValueError(f"unknown pool op {pool_op!r}")
@@ -186,5 +188,5 @@ def fuse_matrix(parts: dict[str, np.ndarray], pool_op: str) -> np.ndarray:
         fused = stack.mean(axis=0, dtype=np.float32)
     norms = np.linalg.norm(fused.astype(np.float64), axis=1)
     if np.any(norms < 1e-12):
-        raise ValueError("zero feature vector cannot be normalized")
+        raise TrainingDataError("zero feature vector cannot be normalized")
     return (fused / norms[:, None].astype(np.float32)).astype(np.float32)

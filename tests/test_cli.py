@@ -131,6 +131,37 @@ class TestExtract:
         rc = cli.main(["extract", "--dataset", str(root), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_pool_with_a_single_type_is_config_error(self, source, tiny_dataset, weight_files,
+                                                      tmp_path, capsys):
+        root, _ = tiny_dataset
+        out = tmp_path / "o"
+        args = ["extract", "--dataset", str(root), "--object-weights", weight_files[0],
+                "--feature-type", "op", "--out", str(out)]
+        if source == "flag":
+            args += ["--pool", "max"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"pool": "max"}))
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "--pool applies only to --feature-type hdf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_fused_row_is_data_error(self, tiny_dataset, tmp_path, capsys):
+        from scenefuse.synthetic import stub_spec
+        from scenefuse.weights import random_bundle
+
+        root, _ = tiny_dataset
+        zero = str(tmp_path / "zero.hdfw")  # zero kernels and biases: every descriptor is 0
+        save_weights(random_bundle(stub_spec(), scale=0.0), zero)
+        out = tmp_path / "o"
+        rc = cli.main(["extract", "--dataset", str(root), "--object-weights", zero,
+                       "--scene-weights", zero, "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "data error: zero feature vector" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def cache_path(tiny_dataset, weight_files, tmp_path_factory):
@@ -493,6 +524,11 @@ class TestOptionSurface:
         assert set(cli._OPTIONS["--pool"]["choices"]) == set(POOL_OPS)
         for name in set(cli._OPTIONS["--protocol"]["choices"]) - {"custom"}:
             protocol_preset(name)  # raises ValueError on a name it lacks
+
+    def test_settable_value_count(self):
+        # the count the roadmap tracks: adding or removing an option changes it on purpose
+        parsers = cli.commands(cli.build_parser()).values()
+        assert sum(a.dest != "help" for p in parsers for a in p._actions) == 42
 
     def test_readme_lists_each_commands_options(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

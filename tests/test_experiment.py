@@ -135,6 +135,39 @@ class TestBaseFeatures:
         compute_base_features(manifest, *stub_pair, cache_dir)
         assert len(calls) == 1  # the rewritten caches recorded the new mtime
 
+    def test_a_renamed_image_is_named(self, tiny_dataset, stub_pair, tmp_path, monkeypatch,
+                                      caplog):
+        # a rename keeps the file's size and mtime_ns, so every stamp still matches
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        cache_dir = str(tmp_path / "cache")
+        _, _, paths = compute_base_features(scan_dataset(str(tmp_path / "data")), *stub_pair,
+                                            cache_dir)
+        renamed = paths[7].replace(".ppm", "b.ppm")  # keeps its place in the sorted list
+        os.rename(paths[7], renamed)
+        manifest = scan_dataset(str(tmp_path / "data"))
+        assert manifest.flat_paths_labels()[0][7] == renamed
+
+        calls = self.count_extractions(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
+            compute_base_features(manifest, *stub_pair, cache_dir)
+        assert len(calls) == 1
+        assert f"{renamed} changed since" in caplog.text
+
+    def test_each_backend_is_hashed_once(self, tiny_dataset, stub_pair, tmp_path,
+                                         monkeypatch):
+        _, manifest = tiny_dataset
+        calls = []
+        original = experiment.backend_digest
+
+        def counting(backend):
+            calls.append(backend.kind)
+            return original(backend)
+
+        monkeypatch.setattr(experiment, "backend_digest", counting)
+        compute_base_features(manifest, *stub_pair, str(tmp_path / "cache"))
+        assert sorted(calls) == ["object", "scene"]
+
     def test_a_missing_stamps_record_is_named(self, tiny_dataset, stub_pair, tmp_path,
                                               monkeypatch, caplog):
         # as after a run killed between writing a cache and its record

@@ -24,7 +24,7 @@ class TestNetpbm:
         path = tmp_path / "a.ppm"
         write_ppm(str(path), img)
         raster = read_raster(str(path))
-        assert raster.dtype == np.float32 and np.array_equal(raster, img)
+        assert raster.dtype == np.uint8 and np.array_equal(raster, img)
         # byte-stable on rewrite
         first = path.read_bytes()
         write_ppm(str(path), raster)
@@ -59,7 +59,7 @@ class TestNetpbm:
         raster = read_raster(str(path))
         assert raster.shape == (2, 2, 3)
         assert (raster[:, :, 0] == raster[:, :, 1]).all()
-        assert raster.dtype == np.float32
+        assert raster.dtype == np.uint8
 
     @settings(max_examples=300, deadline=None)
     @given(corruptions(VALID_PPM))

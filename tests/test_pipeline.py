@@ -10,6 +10,7 @@ from oracles import fuse_row, slice_all
 from scenefuse import pipeline
 from scenefuse.engine import forward_to_pool5, gap
 from scenefuse.experiment import FeatureConfig, config_matrix
+from scenefuse.imageio import read_raster, write_ppm
 from scenefuse.pipeline import (
     FEATURE_DIM, POOL_OPS, SOURCES, Backend, extract_base_features, fuse_matrix,
     resize_to_working,
@@ -209,6 +210,18 @@ class TestExtractBaseFeatures:
         raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="object, scene"):
             extract_base_features(scn, obj, raster)
+
+    def test_uint8_raster_gives_the_float32_copys_descriptors(self, rng, tmp_path):
+        obj = tiny_backend("object", seed=1)
+        scn = tiny_backend("scene", seed=2)
+        path = str(tmp_path / "a.ppm")
+        write_ppm(path, rng.integers(0, 256, (37, 45, 3)))
+        raster = read_raster(path)  # read-only uint8 pixels straight from the file
+        assert raster.dtype == np.uint8 and not raster.flags.writeable
+        from_uint8 = extract_base_features(obj, scn, raster)
+        from_float = extract_base_features(obj, scn, raster.astype(np.float32))
+        for source in SOURCES:
+            assert np.array_equal(from_uint8[source], from_float[source]), source
 
 
 class TestAggregate:
