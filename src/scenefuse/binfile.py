@@ -1,6 +1,7 @@
 """The package's file access: every JSON file is read by `read_json`, every
 file is written by `write_file`, and `BoundedReader` is the one reader
-behind the HDFW and HDFC loaders.
+behind the HDFW, HDFC and HDFM loaders. Only this module and `imageio`,
+which parses Netpbm images, read files themselves.
 
 `BoundedReader` reads straight from the open file. A field's length is
 checked against the bytes left before anything is allocated, so a

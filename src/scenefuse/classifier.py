@@ -31,22 +31,31 @@ smallest class id. The cost parameter is tuned by stratified k-fold
 cross-validation over the integer grid C = 1..100, ties toward the
 smaller C.
 
+A model is saved as an HDFM file, little-endian with no trailing bytes:
+magic ``HDFM``, u32 version 2, u32 class count K, dim D and chosen C, then
+K int64 class ids, K float64 biases and K x D float64 weights.
+`load_model` reads it through `binfile.BoundedReader`, which checks that
+the file holds those 8 K (D + 2) bytes before allocating any of them.
+
 Experiment result records reuse chosen C and accuracy across runs, so
 bump `cache.RECORD_VERSION` whenever this module's arithmetic changes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import write_file
+from .binfile import BoundedReader, write_file
 
 C_GRID = tuple(range(1, 101))
 DEFAULT_TOL = 1e-4
 MAX_ITER = 1000
 _FOLD_STREAM = 0xF01D
+MODEL_MAGIC = b"HDFM"
+MODEL_VERSION = 2
 
 
 class ModelFileError(ValueError):
@@ -408,67 +417,36 @@ def grid_search_c(
 
 
 # ---------------------------------------------------------------------------
-# Model files (magic line "HDFM 1")
+# Model files (HDFM, see the module docstring)
 # ---------------------------------------------------------------------------
 
 def save_model(model: LinearModel, path: str) -> None:
-    """Write the textual model format; floats use shortest round-trip repr."""
-    lines = [
-        "HDFM 1",
-        f"classes {len(model.class_ids)}",
-        f"dim {model.feature_dim}",
-        f"C {model.best_c}",
-    ]
-    for k, cls in enumerate(model.class_ids):
-        floats = " ".join(repr(float(v)) for v in model.weights[k])
-        lines.append(f"class {cls} {repr(float(model.biases[k]))} {floats}")
-    write_file(path, [("\n".join(lines) + "\n").encode()])
+    """Write an HDFM file; it round-trips bit-identically."""
+    k, dim = model.weights.shape
+    arrays = (model.class_ids, "<i8"), (model.biases, "<f8"), (model.weights, "<f8")
+    write_file(path, [MODEL_MAGIC + struct.pack("<4I", MODEL_VERSION, k, dim, model.best_c),
+                      *(np.ascontiguousarray(a, dtype) for a, dtype in arrays)])
 
 
 def load_model(path: str) -> LinearModel:
     """Read an HDFM file; malformed content raises :class:`ModelFileError`."""
+    with open(path, "rb") as fh:
+        rd = BoundedReader(fh, path, ModelTruncatedError, "model")
+        magic = rd.take(4, "magic")
+        if magic != MODEL_MAGIC:
+            raise ModelBadMagicError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
+        version, k, dim, best_c = rd.unpack("<4I", "header")
+        if struct.pack("<I", version).startswith(b" 1\n"):  # "HDFM 1\nclasses ..."
+            raise ModelFileError(f"{path}: a model in the old HDFM 1 text layout; retrain it")
+        if version != MODEL_VERSION:
+            raise ModelFileError(f"{path}: unsupported model version {version}")
+        rd.need(8 * k * (dim + 2), f"{k} classes of {dim} weights")
+        ids = rd.read_into(np.empty(k, "<i8"), "class ids")
+        biases = rd.read_into(np.empty(k, "<f8"), "biases")
+        weights = rd.read_into(np.empty((k, dim), "<f8"), "weights")
+        if rd.left:
+            raise ModelFileError(f"{path}: {rd.left} trailing bytes after the weights")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise ModelFileError(f"{path}: not UTF-8 text") from None
-    if not lines or lines[0] != "HDFM 1":
-        head = lines[0] if lines else ""
-        raise ModelBadMagicError(f"{path}: bad header {head!r}, expected 'HDFM 1'")
-
-    def header(i: int, key: str) -> int:
-        if i >= len(lines):
-            raise ModelTruncatedError(f"{path}: missing {key} line")
-        parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != key or not parts[1].isdecimal():
-            raise ModelFileError(f"{path}: expected '{key} <value>', got {lines[i]!r}")
-        return int(parts[1])
-
-    k = header(1, "classes")
-    dim = header(2, "dim")
-    best_c = header(3, "C")
-    rows = [l for l in lines[4:] if l.strip()]
-    if len(rows) < k:
-        raise ModelTruncatedError(f"{path}: {len(rows)} class lines, header says {k}")
-    if len(rows) > k:
-        raise ModelFileError(f"{path}: {len(rows)} class lines, header says {k}")
-    class_ids, biases, weights = [], [], []
-    for row, line in enumerate(rows):
-        parts = line.split()
-        if len(parts) != 3 + dim or parts[0] != "class":
-            raise ModelFileError(
-                f"{path}: class line {row} has {len(parts)} fields, expected {3 + dim}"
-            )
-        try:
-            class_ids.append(int(parts[1]))
-            biases.append(float(parts[2]))
-            weights.append([float(v) for v in parts[3:]])
-        except ValueError as exc:
-            raise ModelFileError(f"{path}: class line {row}: {exc}") from None
-    # allocated only now, so a huge declared dim cannot outgrow the file
-    try:
-        return LinearModel(class_ids=tuple(class_ids),
-                           weights=np.array(weights, dtype=np.float64).reshape(k, dim),
-                           biases=np.array(biases, dtype=np.float64), best_c=best_c)
+        return LinearModel(tuple(ids.tolist()), weights, biases, best_c)
     except ValueError as exc:
         raise ModelFileError(f"{path}: {exc}") from None

@@ -314,6 +314,22 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
     return chosen_c, accuracy, False
 
 
+def _check_plan(plan: SplitPlan, class_names, folds: int) -> None:
+    """Raise DatasetError unless every repetition of `plan` has two classes
+    with training images, `folds` of them in each, and a test image."""
+    for rep, per_class in enumerate(plan.repetitions):
+        trained = {name: len(train) for name, (train, _) in zip(class_names, per_class) if train}
+        if len(trained) < 2:
+            raise DatasetError(f"repetition {rep}: {len(trained)} class(es) have training "
+                               f"images {trained}, tuning needs 2")
+        for name, count in trained.items():
+            if count < folds:
+                raise DatasetError(f"repetition {rep}: class {name!r} has {count} training "
+                                   f"images, fewer than {folds} folds")
+        if not any(test for _, test in per_class):
+            raise DatasetError(f"repetition {rep} has no test image to score")
+
+
 def run_experiment(
     manifest: DatasetManifest,
     object_backend: Backend | None,
@@ -329,12 +345,14 @@ def run_experiment(
     """Run the full ablation; deterministic in (dataset, protocol, backends).
 
     Only the base descriptors the configurations use are extracted, so a
-    backend none of them needs may be None. If `out_path` is given the
-    report JSON is written there once, when the run ends or stops; it is
-    complete exactly when every configuration finished. With a
-    `cache_dir`, each (configuration, repetition) is written there as a
-    result record when it finishes and reused by any later run whose inputs
-    hash the same, so a killed run resumes at its first unfinished pair.
+    backend none of them needs may be None. A split that cannot be tuned
+    with `folds` folds or scored raises DatasetError before extraction. If
+    `out_path` is given the report JSON is written there once, when the run
+    ends or stops; it is complete exactly when every configuration
+    finished. With a `cache_dir`, each (configuration, repetition) is
+    written there as a result record when it finishes and reused by any
+    later run whose inputs hash the same, so a killed run resumes at its
+    first unfinished pair.
     """
     configs = default_configs() if configs is None else tuple(configs)
     if plan is None:
@@ -342,6 +360,7 @@ def run_experiment(
     elif len(plan.repetitions) != protocol.repetitions:
         raise DatasetError(f"split plan has {len(plan.repetitions)} repetitions, "
                            f"the protocol needs {protocol.repetitions}")
+    _check_plan(plan, manifest.class_names, folds)  # before a day of extraction
     base, labels, paths = compute_base_features(
         manifest, object_backend, scene_backend, cache_dir,
         {source for config in configs for source in config.sources}

@@ -353,9 +353,11 @@ def test_format_round_trips(tmp_path, rng):
     original = mpath.read_bytes()
     save_model(load_model(str(mpath)), str(mpath))
     assert mpath.read_bytes() == original
-    mpath.write_text("HDFZ 1\n" + original.decode()[7:])
+    corrupted = bytearray(original)
+    corrupted[:4] = b"HDFZ"
+    mpath.write_bytes(bytes(corrupted))
     with pytest.raises(ModelBadMagicError):
         load_model(str(mpath))
-    mpath.write_bytes(b"\n".join(original.splitlines()[:-1]) + b"\n")
+    mpath.write_bytes(original[:-5])
     with pytest.raises(ModelTruncatedError):
         load_model(str(mpath))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,26 @@ from scenefuse.classifier import (
 )
 
 import oracles
+from conftest import traced_peak
 from corruption import corruptions, load_bytes, saved_bytes
 from oracles import grid_search_nested, logreg_brute_force, logreg_objective
 
 VALID_MODEL = saved_bytes(save_model, LinearModel(
     class_ids=(0, 1), weights=np.array([[0.5, -1.25], [2.0, 0.125]]),
     biases=np.array([0.1, -0.2]), best_c=3))
-NON_NUMERIC_DIM = VALID_MODEL.replace(b"dim 2", b"dim z")
-NON_NUMERIC_WEIGHT = VALID_MODEL.replace(b"0.5", b"0.z")
+# magic, then u32 version, class count, dim and C, then ids, biases and weights
+HEADER, WEIGHTS = 4, 4 + 16 + 8 * 2 * 2
+
+
+def patched(data: bytes, offset: int, fmt: str, *values) -> bytes:
+    """`data` with `values` packed over the bytes at `offset`."""
+    buf = bytearray(data)
+    struct.pack_into(fmt, buf, offset, *values)
+    return bytes(buf)
+
+
+NAN_WEIGHT = patched(VALID_MODEL, WEIGHTS, "<d", float("nan"))
+MORE_CLASSES = patched(VALID_MODEL, HEADER + 4, "<I", 3)
 
 
 def blobs(rng, k=3, per_class=30, dim=8, spread=6.0, noise=0.4):
@@ -366,26 +380,47 @@ class TestModelFile:
         model = train_ovr(X, y, 2)
         path = tmp_path / "m.hdfm"
         save_model(model, str(path))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop last class row
+        path.write_bytes(path.read_bytes()[:-8])  # drop the last weight
         with pytest.raises(ModelTruncatedError):
             load_model(str(path))
 
-    def test_field_count_mismatch(self, rng, tmp_path):
+    def test_trailing_bytes(self, rng, tmp_path):
         X, y = blobs(rng, k=2, dim=4)
         model = train_ovr(X, y, 2)
         path = tmp_path / "m.hdfm"
         save_model(model, str(path))
-        text = path.read_text().splitlines()
-        text[4] = text[4] + " 1.5"
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ModelFileError, match="fields"):
+        path.write_bytes(path.read_bytes() + struct.pack("<d", 1.5))
+        with pytest.raises(ModelFileError, match="8 trailing bytes"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("data, match", [
+        (patched(VALID_MODEL, HEADER, "<I", 1), "unsupported model version 1"),
+        (patched(VALID_MODEL, HEADER, "<I", 3), "unsupported model version 3"),
+        (NAN_WEIGHT, "must be finite"),
+        (patched(VALID_MODEL, WEIGHTS - 16, "<d", float("inf")), "must be finite"),
+        (patched(VALID_MODEL, HEADER + 16, "<2q", 1, 0), "ascending"),
+        (b"HDFM 1\nclasses 2\ndim 2\nC 3\nclass 0 0.1 0.5 -1.25\nclass 1 -0.2 2.0 0.125\n",
+         "old HDFM 1 text layout; retrain it"),
+    ], ids=["version-1", "version-3", "nan-weight", "inf-bias", "ids-descending", "text"])
+    def test_bad_content_is_a_model_file_error(self, data, match, tmp_path):
+        path = tmp_path / "m.hdfm"
+        path.write_bytes(data)
+        with pytest.raises(ModelFileError, match=match) as err:
+            load_model(str(path))
+        assert type(err.value) is ModelFileError and str(path) in str(err.value)
+
+    def test_classes_past_the_file_end_allocate_nothing(self):
+        # the declared arrays are checked against the bytes left before they are allocated
+        data = patched(VALID_MODEL, HEADER + 4, "<2I", 2**32 - 1, 2**32 - 1)
+        error, peak = traced_peak(lambda: pytest.raises(
+            ModelTruncatedError, load_bytes, load_model, data))
+        assert "classes" in str(error.value)
+        assert peak < 64 * 1024
 
     @settings(max_examples=300, deadline=None)
     @given(corruptions(VALID_MODEL))
-    @example(NON_NUMERIC_DIM)
-    @example(NON_NUMERIC_WEIGHT)
+    @example(NAN_WEIGHT)
+    @example(MORE_CLASSES)
     def test_corrupted_file_raises_only_model_file_error(self, data):
         try:
             load_bytes(load_model, data)

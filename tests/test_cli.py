@@ -345,6 +345,15 @@ class TestExperiment:
         assert not list(out.rglob("*.*"))  # no cache file or result record
         assert not out.exists()
 
+    def test_untunable_split_is_data_error_before_extraction(self, tiny_dataset, weight_files,
+                                                             tmp_path, capsys):
+        out = tmp_path / "exp"
+        # 4 training images per class cannot fill the default 5 folds
+        assert cli.main(experiment_args(tiny_dataset, weight_files, out)) == cli.EXIT_DATA
+        assert ("data error: repetition 0: class 'class_00' has 4 training images, "
+                "fewer than 5 folds") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_protocol_is_config_error(self, tiny_dataset, weight_files,
                                               tmp_path):
         root, _ = tiny_dataset
@@ -792,7 +801,8 @@ class TestExtractFailures:
         for victim in victims:
             victim.write_bytes(b"P6\n4 4\n255\nshort")  # truncated raster
         out = tmp_path / "exp"
-        rc = cli.main(experiment_args((broken_root, None), weight_files, out))
+        # 4 training images per class fill 2 folds; the default 5 would stop the run first
+        rc = cli.main(experiment_args((broken_root, None), weight_files, out) + ["--folds", "2"])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         for victim in victims:

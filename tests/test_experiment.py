@@ -3,6 +3,7 @@ import logging
 import os
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from corruption import RECORD_DAMAGE
 from scenefuse import binfile, experiment
 from scenefuse.cache import CacheFileError
 from scenefuse.datasets import (REPEATED_RANDOM, DatasetError, DatasetManifest, SplitProtocol,
-                                 scan_dataset)
+                                 make_split, scan_dataset)
 from scenefuse.experiment import (
     FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
     format_table, run_experiment, tune_cost, unreadable,
@@ -396,6 +397,42 @@ class TestRunExperiment:
         doc = json.loads(out.read_text())
         assert doc["complete"] is False
         assert [c["name"] for c in doc["configurations"]] == ["OP"]
+
+    def test_an_untunable_split_stops_the_run_before_any_forward(self, stub_pair, tmp_path,
+                                                                  monkeypatch):
+        # 3 training images per class cannot fill 5 folds
+        manifest = make_synthetic_dataset(str(tmp_path / "data"), classes=2, per_class=6,
+                                          size=(16, 16))
+        calls = []
+        original = experiment.extract_base_features
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "extract_base_features", counting)
+        cache_dir, out = tmp_path / "out" / "cache", tmp_path / "out" / "report.json"
+        with pytest.raises(DatasetError, match="repetition 0: class 'class_00' has 3 "
+                                               "training images, fewer than 5 folds"):
+            run_experiment(manifest, *stub_pair, SplitProtocol("fixed_per_class", 3, 2, 1, 0),
+                           folds=5, cache_dir=str(cache_dir), out_path=str(out))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda per_class: per_class[:1] + [((), test) for _, test in per_class[1:]],
+         r"repetition 0: 1 class\(es\) have training images \{'class_00': 5\}"),
+        (lambda per_class: [(train, ()) for train, _ in per_class],
+         "repetition 0 has no test image"),
+    ], ids=["one-trained-class", "no-test-image"])
+    def test_a_plan_that_cannot_be_tuned_or_scored(self, damage, match, tiny_dataset,
+                                                   stub_pair, small_protocol, monkeypatch):
+        _, manifest = tiny_dataset
+        plan = make_split(manifest, small_protocol)
+        plan = replace(plan, repetitions=(tuple(damage(list(plan.repetitions[0]))),))
+        monkeypatch.setattr(experiment, "compute_base_features", None)
+        with pytest.raises(DatasetError, match=match):
+            run_experiment(manifest, *stub_pair, small_protocol, folds=5, plan=plan)
 
     def test_table_rows(self, run):
         report, _ = run

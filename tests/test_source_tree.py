@@ -1,6 +1,6 @@
 """Every public function, class, method and property in ``src/scenefuse`` has
-a caller there, unless it is a documented library entry point, and every
-error type it defines has an exit code."""
+a caller there, unless it is a documented library entry point, every error
+type it defines has an exit code, and only `binfile` and `imageio` read files."""
 
 import ast
 import importlib
@@ -50,3 +50,17 @@ def test_every_error_type_maps_to_an_exit_code():
     unmapped = [f"{error.__module__}.{error.__name__}" for error in errors
                 if error is not cli.CliConfigError and not issubclass(error, cli._data_errors())]
     assert unmapped == []
+
+
+def test_only_the_file_layer_reads_files():
+    # binfile reads JSON and bounded binary fields, imageio reads Netpbm images
+    reads = {"read", "readlines", "read_text", "read_bytes", "readinto"}
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("binfile", "imageio"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in reads):
+                callers.append(f"{path.name}:{node.lineno} .{node.func.attr}")
+    assert callers == []
