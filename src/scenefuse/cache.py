@@ -1,24 +1,28 @@
 """Feature cache files (magic ``HDFC``) and result records.
 
-An ``HDFC`` file holds one labelled path per matrix row.
+An ``HDFC`` file holds one labelled, stamped path per matrix row.
 
-Each row of an (N, dim) float32 matrix is stored with a label and an
-image path. Little-endian layout::
+Each row of an (N, dim) float32 matrix is stored with a label, an image
+path and that image's stamp: its size and ``mtime_ns`` when its features
+were taken. Little-endian layout::
 
     "HDFC"              4 bytes magic
-    version             u32 (currently 1)
+    version             u32 (currently 2)
     feature dim         u32
     record count        u32
     per record:
         label id        u32
         path length     u32
+        image size      u64
+        image mtime_ns  i64
         path            UTF-8 bytes
         values          dim x f32
 
-A record is a small JSON object: a result record holds the plain fields
-of its key and the results they produced, a stamps record the images of
-an ``HDFC`` cache (see ``experiment``). Every file here is written through
-``binfile.write_file``: under a temporary name, then renamed over the target.
+Version 1 had no stamps; such a file raises CacheVersionError. A result
+record is a small JSON object holding the plain fields of its key and the
+results they produced (see ``experiment``). Every file here is written
+through ``binfile.write_file``: under a temporary name, then renamed over
+the target, so features and their stamps are replaced together.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import struct
 
 import numpy as np
 
-from .binfile import BoundedReader, read_json, write_file, write_json
+from .binfile import BoundedReader, read_json, write_file
 
 MAGIC = b"HDFC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Bump whenever tuning, training or evaluation would give another result.
 RECORD_VERSION = 1
 
@@ -55,26 +59,23 @@ class CacheDimensionError(CacheFileError):
     """Cache feature dimension differs from what the consumer expects."""
 
 
-def save_cache(path: str, labels, paths, matrix: np.ndarray) -> None:
-    """Write each row of `matrix`, from its buffer, with its label and path."""
+def save_cache(path: str, labels, paths, stamps, matrix: np.ndarray) -> None:
+    """Write each row of `matrix`, from its buffer, with its label, path and
+    (size, mtime_ns) stamp."""
     matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    if matrix.ndim != 2 or not len(labels) == len(paths) == matrix.shape[0]:
-        raise CacheDimensionError(f"{len(labels)} labels and {len(paths)} paths for a "
-                                  f"matrix of shape {matrix.shape}; need one per row")
+    if matrix.ndim != 2 or not len(labels) == len(paths) == len(stamps) == matrix.shape[0]:
+        raise CacheDimensionError(f"{len(labels)} labels, {len(paths)} paths and "
+                                  f"{len(stamps)} stamps for a matrix of shape "
+                                  f"{matrix.shape}; need one per row")
 
     def chunks():
         yield MAGIC + struct.pack("<III", FORMAT_VERSION, matrix.shape[1], matrix.shape[0])
-        for label, rec_path, row in zip(labels, paths, matrix):
+        for label, rec_path, (size, mtime_ns), row in zip(labels, paths, stamps, matrix):
             encoded = rec_path.encode("utf-8")
-            yield struct.pack("<II", int(label), len(encoded)) + encoded
+            yield struct.pack("<IIQq", int(label), len(encoded), size, mtime_ns) + encoded
             yield row
 
     write_file(path, chunks())
-
-
-def save_record(path: str, fields: dict, results: dict) -> None:
-    """Write a record: its key's plain `fields` and its `results`."""
-    write_json(path, {**fields, **results})
 
 
 def load_record(path: str, fields: dict, result_names) -> dict | None:
@@ -95,11 +96,13 @@ def load_record(path: str, fields: dict, result_names) -> dict | None:
 
 
 def load_cache(path: str, expect_dim: int | None = None):
-    """Read a feature cache straight from the file; returns (labels, paths, matrix).
+    """Read a feature cache straight from the file; returns (labels, paths,
+    stamps, matrix).
 
-    `labels` is an (N,) integer array, `paths` a list of N strings and
-    `matrix` an (N, dim) float32 array. Passing `expect_dim` turns a
-    dimension mismatch into :class:`CacheDimensionError` at load time.
+    `labels` is an (N,) integer array, `paths` a list of N strings, `stamps`
+    a list of N (size, mtime_ns) tuples and `matrix` an (N, dim) float32
+    array. Passing `expect_dim` turns a dimension mismatch into
+    :class:`CacheDimensionError` at load time.
     """
     with open(path, "rb") as fh:
         rd = BoundedReader(fh, path, CacheTruncatedError, "cache")
@@ -108,14 +111,17 @@ def load_cache(path: str, expect_dim: int | None = None):
             raise CacheBadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         version, dim, count = rd.unpack("<III", "header")
         if version != FORMAT_VERSION:
-            raise CacheVersionError(f"{path}: unsupported cache version {version}")
+            raise CacheVersionError(f"{path}: cache version {version}, this build reads "
+                                    f"version {FORMAT_VERSION}; extract the features again")
         if expect_dim is not None and dim != expect_dim:
             raise CacheDimensionError(f"{path}: cache dim {dim}, expected {expect_dim}")
-        # every record holds at least its two u32 fields and its values
-        rd.need(count * (8 + 4 * dim), f"{count} records")
-        labels, paths, matrix = np.empty(count, np.intp), [], np.empty((count, dim), "<f4")
+        # every record holds at least its 24-byte header and its values
+        rd.need(count * (24 + 4 * dim), f"{count} records")
+        labels, paths, stamps = np.empty(count, np.intp), [], []
+        matrix = np.empty((count, dim), "<f4")
         for i in range(count):
-            labels[i], path_len = rd.unpack("<II", f"record {i} header")
+            labels[i], path_len, *stamp = rd.unpack("<IIQq", f"record {i} header")
+            stamps.append(tuple(stamp))
             try:
                 paths.append(rd.take(path_len, f"record {i} path").decode("utf-8"))
             except UnicodeDecodeError:
@@ -123,4 +129,4 @@ def load_cache(path: str, expect_dim: int | None = None):
             rd.read_into(matrix[i], f"record {i} values")
         if rd.left:
             raise CacheFileError(f"{path}: {rd.left} trailing bytes after last record")
-    return labels, paths, matrix
+    return labels, paths, stamps, matrix

@@ -235,7 +235,7 @@ def cmd_slice(args) -> int:
 def cmd_extract(args) -> int:
     from .cache import save_cache
     from .datasets import DatasetError, scan_dataset
-    from .experiment import FeatureConfig, config_matrix, extract_dataset, unreadable
+    from .experiment import FeatureConfig, config_matrix, extract_dataset, stamp, unreadable
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
@@ -258,13 +258,14 @@ def cmd_extract(args) -> int:
         raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
     kept = [i for i, path in enumerate(paths) if path not in failed]
     paths = [paths[i] for i in kept]
+    stamps = [stamp(path) for path in paths]  # before extraction, as the experiment's are
     base = extract_dataset(paths, object_backend, scene_backend, config.sources)
     matrix = config_matrix(base, config)
 
     suffix = f"{feature_type}-{pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
-    save_cache(cache_path, labels[kept], paths, matrix)
+    save_cache(cache_path, labels[kept], paths, stamps, matrix)
     print(f"wrote {len(kept)} records (dim {config.dim}) to {cache_path}")
     return EXIT_DATA if failed else EXIT_OK
 
@@ -275,7 +276,7 @@ def cmd_train(args) -> int:
 
     cache_path = _require_file(args.features, "--features cache")
     out_dir = _require_out(args)
-    y, _, X = load_cache(cache_path)
+    y, _, _, X = load_cache(cache_path)
 
     report = grid_search_c(X, y, folds=args.folds, seed=args.seed)
     model = train_ovr(X, y, report.chosen_c)
@@ -302,7 +303,7 @@ def cmd_eval(args) -> int:
     if args.out:  # checked before any work, like every command's --out
         _require_out(args)
     model = load_model(model_path)
-    y, _, X = load_cache(cache_path, expect_dim=model.feature_dim)
+    y, _, _, X = load_cache(cache_path, expect_dim=model.feature_dim)
     accuracy = evaluate(model, X, y)
     doc = {"accuracy": accuracy, "count": len(y), "model": model_path,
            "features": cache_path}

@@ -7,10 +7,10 @@ a one-vs-rest model is trained with the winning cost, and test accuracy
 is recorded. Base descriptors are extracted once per image and reused by
 all configurations.
 
-Given a cache directory, a run keeps three kinds of file there. Each base
+Given a cache directory, a run keeps two kinds of file there. Each base
 descriptor's ``HDFC`` cache is keyed by its trunk's digest, which folds in
-`EXTRACTION_VERSION`, and reused only while every image has the size and
-``mtime_ns`` listed in the ``.stamps.json`` record beside it.
+`EXTRACTION_VERSION` and the cache format's version, and reused only while
+every image has the path, label, size and ``mtime_ns`` stored in its record.
 Each (configuration, repetition) leaves a result record, keyed by a sha256
 over `cache.RECORD_VERSION`, the configuration name, folds, tuning seed, C
 grid, the solver's tolerance and iteration cap, and the train rows, then
@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binfile import write_json
-from .cache import RECORD_VERSION, CacheFileError, load_cache, load_record, save_cache, save_record
+from .cache import (FORMAT_VERSION, RECORD_VERSION, CacheFileError, load_cache, load_record,
+                    save_cache)
 from .classifier import (C_GRID, DEFAULT_TOL, MAX_ITER, GridSearchReport, evaluate,
                          grid_search_c, train_ovr)
 from .datasets import DatasetError, DatasetManifest, SplitPlan, SplitProtocol, make_split
@@ -126,9 +127,9 @@ class ExperimentReport:
 
 
 def backend_digest(backend: Backend) -> str:
-    """Content hash of the extraction version and one backend's kind and weight
-    bundle; keys its sources' caches."""
-    h = hashlib.sha256(f"extraction {EXTRACTION_VERSION}".encode())
+    """Content hash of the extraction and cache format versions and one
+    backend's kind and weight bundle; keys its sources' caches."""
+    h = hashlib.sha256(f"extraction {EXTRACTION_VERSION} cache {FORMAT_VERSION}".encode())
     h.update(backend.kind.encode())
     h.update(np.ascontiguousarray(backend.weights.means, dtype="<f4"))
     for entry in backend.weights.entries:
@@ -142,41 +143,30 @@ def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
     return os.path.join(cache_dir, f"{dataset}_{source}_{digest}.hdfc")
 
 
-def _stamp(path: str) -> list[int] | None:
-    """An image's [size, mtime_ns], or None if it cannot be stat'ed. A None
-    stamp misses the cache, and `unreadable` then names that image with
-    every other one that cannot be read."""
+def stamp(path: str) -> tuple[int, int] | None:
+    """An image's (size, mtime_ns), stored with its features, or None if it
+    cannot be stat'ed. A None stamp misses the cache, and `unreadable` then
+    names that image with every other one that cannot be read."""
     try:
         st = os.stat(path)
     except OSError:
         return None
-    return [st.st_size, st.st_mtime_ns]
-
-
-def _changed(cache_path, paths, old, new) -> bool:
-    """Whether the per-image lists `old` and `new` differ; logs the first image that does."""
-    if old == new:
-        return False
-    changed = next((image for image, a, b in zip(paths, old, new) if a != b), "the image list")
-    logger.info("%s changed since %s was written; re-extracting", changed, cache_path)
-    return True
+    return st.st_size, st.st_mtime_ns
 
 
 def _try_load_base(cache_paths, paths, labels, stamps):
     if None in stamps or not all(map(os.path.isfile, cache_paths.values())):
         return None
-    listed = list(zip(paths, labels.tolist()))
+    listed = list(zip(paths, labels.tolist(), stamps))
     mats = {}
     for source, path in cache_paths.items():
-        record = load_record(f"{path}.stamps.json", {}, ("images",))
-        if record is None:
-            logger.info("%s.stamps.json is missing; re-extracting", path)
-            return None
-        stored = record["images"] if isinstance(record["images"], list) else []
-        if _changed(path, paths, stored, stamps):
-            return None
-        cached_labels, cached_paths, mats[source] = load_cache(path, expect_dim=FEATURE_DIM)
-        if _changed(path, paths, list(zip(cached_paths, cached_labels.tolist())), listed):
+        cached_labels, cached_paths, cached_stamps, mats[source] = load_cache(
+            path, expect_dim=FEATURE_DIM)
+        cached = list(zip(cached_paths, cached_labels.tolist(), cached_stamps))
+        if cached != listed:
+            changed = next((image for image, a, b in zip(paths, cached, listed) if a != b),
+                           "the image list")
+            logger.info("%s changed since %s was written; re-extracting", changed, path)
             return None
     logger.info("loaded cached base features: %s", ", ".join(cache_paths.values()))
     return mats
@@ -237,7 +227,7 @@ def compute_base_features(
         cache_paths = {s: _cache_path(cache_dir, manifest.name, s, digests[b.kind])
                        for s, b in owners.items()}
         # taken before extraction, so an image changed while it runs is seen next time
-        stamps = [_stamp(path) for path in paths]
+        stamps = [stamp(path) for path in paths]
         cached = _try_load_base(cache_paths, paths, labels, stamps)
         if cached is not None:
             return cached, labels, paths
@@ -248,11 +238,10 @@ def compute_base_features(
                            + "; ".join(failed.values()))
     mats = extract_dataset(paths, object_backend, scene_backend, sources)
 
-    if cache_dir:
+    if cache_dir and None not in stamps:  # an image that could not be stat'ed is not cached
         os.makedirs(cache_dir, exist_ok=True)
         for source, path in cache_paths.items():
-            save_cache(path, labels, paths, mats[source])
-            save_record(f"{path}.stamps.json", {}, {"images": stamps})
+            save_cache(path, labels, paths, stamps, mats[source])
     return mats, labels, paths
 
 
@@ -310,7 +299,7 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
     model = train_ovr(X[train_idx], labels[train_idx], chosen_c)
     accuracy = evaluate(model, X[test_idx], labels[test_idx])
     if cache_dir:
-        save_record(path, fields, {"chosen_c": chosen_c, "accuracy": accuracy})
+        write_json(path, {**fields, "chosen_c": chosen_c, "accuracy": accuracy})
     return chosen_c, accuracy, False
 
 

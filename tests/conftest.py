@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,15 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def hdfc_version_1(labels, paths, matrix) -> bytes:
+    """A feature cache in the version-1 layout, whose records held no stamps."""
+    matrix = np.asarray(matrix, dtype="<f4")
+    data = b"HDFC" + struct.pack("<III", 1, matrix.shape[1], matrix.shape[0])
+    for label, path, row in zip(labels, paths, matrix):
+        data += struct.pack("<II", label, len(path.encode())) + path.encode() + row.tobytes()
+    return data
 
 
 def watch_forwards(monkeypatch, on_call):

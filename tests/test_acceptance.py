@@ -330,6 +330,7 @@ def test_format_round_trips(tmp_path, rng):
     # HDFC
     cpath = tmp_path / "c.hdfc"
     save_cache(str(cpath), np.arange(4), [f"p{i}.ppm" for i in range(4)],
+               [(1000 + i, 1_700_000_000 * 10**9 - i) for i in range(4)],
                rng.normal(0, 1, (4, 8)).astype(np.float32))
     original = cpath.read_bytes()
     save_cache(str(cpath), *load_cache(str(cpath)))

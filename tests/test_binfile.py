@@ -9,7 +9,7 @@ import pytest
 
 from corruption import DiskFull
 from scenefuse import binfile, cli
-from scenefuse.cache import save_cache, save_record
+from scenefuse.cache import save_cache
 from scenefuse.classifier import LinearModel, save_model
 from scenefuse.datasets import DatasetManifest, SplitPlan, SplitProtocol, save_split
 from scenefuse.experiment import FeatureConfig, run_experiment
@@ -26,7 +26,7 @@ def _features(directory: str) -> str:
     path = os.path.join(directory, "features.hdfc")
     labels = np.arange(12) % 2
     matrix = np.random.default_rng(0).normal(labels[:, None], 0.1, (12, 3))
-    save_cache(path, labels, [f"img_{i}.ppm" for i in range(12)], matrix)
+    save_cache(path, labels, [f"img_{i}.ppm" for i in range(12)], [(9, 0)] * 12, matrix)
     return path
 
 
@@ -48,9 +48,8 @@ def _eval(directory: str) -> int:
 # writer: (the file it writes, a call writing it into a directory)
 WRITERS = {
     "save_cache": ("f.hdfc", lambda d: save_cache(os.path.join(d, "f.hdfc"), [0], ["a"],
-                                                   np.ones((1, 2)))),
-    "save_record": ("r.json", lambda d: save_record(os.path.join(d, "r.json"), {"k": 1},
-                                                     {"v": 2})),
+                                                   [(9, 0)], np.ones((1, 2)))),
+    "write_json": ("r.json", lambda d: binfile.write_json(os.path.join(d, "r.json"), {"k": 1})),
     "save_weights": ("w.hdfw", lambda d: save_weights(WeightBundle(
         (ConvEntry("conv1", np.ones((2, 3, 3, 3), "f4"), np.zeros(2, "f4")),),
         np.zeros(3, "f4")), os.path.join(d, "w.hdfw"))),

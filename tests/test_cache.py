@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import traced_peak
+from conftest import hdfc_version_1, traced_peak
 from corruption import DiskFull, corruptions, load_bytes, saved_bytes
 from scenefuse import binfile
 from scenefuse.cache import (
@@ -14,17 +14,19 @@ from scenefuse.cache import (
 
 VALID = saved_bytes(
     lambda matrix, path: save_cache(path, [0, 1, 2], [f"c{i}/img.ppm" for i in range(3)],
-                                    matrix),
+                                    [(60 + i, 10**18 + i) for i in range(3)], matrix),
     np.arange(4, dtype=np.float32) + np.arange(3, dtype=np.float32)[:, None],
 )
-# magic, header and record 0's label and path length take 24 bytes
-NON_UTF8_PATH = VALID[:24] + b"\xff" + VALID[25:]
+# magic, header and record 0's label, path length and stamp take 40 bytes
+NON_UTF8_PATH = VALID[:40] + b"\xff" + VALID[41:]
 
 
 def rows(rng, count, dim):
-    """(labels, paths, matrix) for `count` rows of `dim` values."""
+    """(labels, paths, stamps, matrix) for `count` rows of `dim` values."""
     paths = [f"images/class_{i % 3}/img_{i}.ppm" for i in range(count)]
-    return np.arange(count) % 3, paths, rng.normal(0, 1, (count, dim)).astype(np.float32)
+    stamps = [(1000 + i, 1_700_000_000 * 10**9 + i) for i in range(count)]
+    return (np.arange(count) % 3, paths, stamps,
+            rng.normal(0, 1, (count, dim)).astype(np.float32))
 
 
 @pytest.fixture
@@ -36,12 +38,22 @@ def test_round_trip_bit_identical(records, tmp_path):
     path = tmp_path / "f.hdfc"
     save_cache(str(path), *records)
     first = path.read_bytes()
-    labels, paths, matrix = load_cache(str(path))
+    labels, paths, stamps, matrix = load_cache(str(path))
     assert np.array_equal(labels, records[0]) and paths == records[1]
+    assert stamps == records[2]
     assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
-    assert np.array_equal(matrix, records[2])
-    save_cache(str(path), labels, paths, matrix)
+    assert np.array_equal(matrix, records[3])
+    save_cache(str(path), labels, paths, stamps, matrix)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("stamp", [(7, -1), (2**32, 5), (2**64 - 1, -(2**63)),
+                                   (0, 2**63 - 1)],
+                         ids=["pre-1970", "4-GiB", "extremes-low", "extremes-high"])
+def test_stamp_round_trips_exactly(stamp, tmp_path):
+    path = str(tmp_path / "f.hdfc")
+    save_cache(path, [0], ["a.ppm"], [stamp], np.ones((1, 2)))
+    assert load_cache(path)[2] == [stamp]
 
 
 @pytest.fixture
@@ -55,7 +67,7 @@ def test_load_holds_no_copy_of_the_file(mib_of_records, tmp_path):
     # stacked into a matrix would almost double the peak
     path = tmp_path / "f.hdfc"
     save_cache(str(path), *mib_of_records)
-    (_, _, matrix), peak = traced_peak(lambda: load_cache(str(path)))
+    (_, _, _, matrix), peak = traced_peak(lambda: load_cache(str(path)))
     assert peak <= 1.1 * matrix.nbytes
 
 
@@ -68,7 +80,8 @@ def test_save_holds_no_copy_of_the_file(mib_of_records, tmp_path):
 
 
 def test_count_past_the_file_end_allocates_nothing(records, tmp_path):
-    # the count is checked against the bytes left before it sizes the matrix
+    # the count is checked against the bytes left before it sizes the matrix;
+    # each record needs at least its 24-byte header and its 16 values
     path = tmp_path / "f.hdfc"
     save_cache(str(path), *records)
     data = bytearray(path.read_bytes())
@@ -76,6 +89,7 @@ def test_count_past_the_file_end_allocates_nothing(records, tmp_path):
     path.write_bytes(bytes(data))
     error, peak = traced_peak(
         lambda: pytest.raises(CacheTruncatedError, load_cache, str(path)))
+    assert f"need {(2**32 - 1) * (24 + 4 * 16)} bytes" in str(error.value)
     assert "records" in str(error.value)
     assert peak < 64 * 1024
 
@@ -121,6 +135,14 @@ def test_version_rejected(records, tmp_path):
         load_cache(str(path))
 
 
+def test_version_1_asks_for_a_new_extraction(records, tmp_path):
+    labels, paths, _, matrix = records
+    path = tmp_path / "f.hdfc"
+    path.write_bytes(hdfc_version_1(labels, paths, matrix))
+    with pytest.raises(CacheVersionError, match="cache version 1.*extract the features again"):
+        load_cache(str(path))
+
+
 def test_dimension_mismatch_on_expectation(records, tmp_path):
     path = tmp_path / "f.hdfc"
     save_cache(str(path), *records)
@@ -129,11 +151,13 @@ def test_dimension_mismatch_on_expectation(records, tmp_path):
 
 
 def test_record_dim_checked_on_save(records, tmp_path):
-    labels, paths, matrix = records
+    labels, paths, stamps, matrix = records
     with pytest.raises(CacheDimensionError):
-        save_cache(str(tmp_path / "f.hdfc"), labels[:-1], paths, matrix)
+        save_cache(str(tmp_path / "f.hdfc"), labels[:-1], paths, stamps, matrix)
     with pytest.raises(CacheDimensionError):
-        save_cache(str(tmp_path / "f.hdfc"), labels[:1], paths[:1], matrix[0])
+        save_cache(str(tmp_path / "f.hdfc"), labels, paths, stamps[:-1], matrix)
+    with pytest.raises(CacheDimensionError):
+        save_cache(str(tmp_path / "f.hdfc"), labels[:1], paths[:1], stamps[:1], matrix[0])
     assert list(tmp_path.iterdir()) == []
 
 

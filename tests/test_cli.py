@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import watch_forwards
+from conftest import hdfc_version_1, watch_forwards
 from corruption import RECORD_DAMAGE
 from scenefuse import cli
 from scenefuse.cache import load_cache
+from scenefuse.experiment import stamp
 from scenefuse.imageio import write_ppm
 from scenefuse.weights import save_weights
 
@@ -84,8 +86,9 @@ class TestExtract:
         assert rc == 0
         caches = list(out.glob("*.hdfc"))
         assert len(caches) == 1
-        _, _, matrix = load_cache(str(caches[0]))
+        _, paths, stamps, matrix = load_cache(str(caches[0]))
         assert matrix.shape == (manifest.total_images, 2048)
+        assert stamps == [stamp(path) for path in paths]
 
     def test_single_type_is_512(self, tiny_dataset, weight_files, tmp_path):
         root, _ = tiny_dataset
@@ -96,7 +99,7 @@ class TestExtract:
             "--feature-type", "ow", "--out", str(out),
         ])
         assert rc == 0
-        _, _, matrix = load_cache(str(next(out.glob("*_ow.hdfc"))))
+        *_, matrix = load_cache(str(next(out.glob("*_ow.hdfc"))))
         assert matrix.shape[1] == 512
 
     @pytest.mark.parametrize("feature_type, per_image", [("ow", 1), ("op", 20)])
@@ -191,6 +194,21 @@ class TestTrainEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_version_1_cache_is_data_error(self, command, cache_path, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert cli.main(["train", "--features", cache_path, "--out", str(model),
+                         "--folds", "3"]) == 0
+        old = tmp_path / "old.hdfc"
+        labels, paths, _, matrix = load_cache(cache_path)
+        old.write_bytes(hdfc_version_1(labels, paths, matrix))
+        capsys.readouterr()
+        args = {"train": ["--out", str(tmp_path / "again")],
+                "eval": ["--model", str(model / "model.hdfm")]}[command]
+        assert cli.main([command, "--features", str(old), *args]) == cli.EXIT_DATA
+        assert f"{old}: cache version 1" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
     def test_eval_out_that_is_a_file_fails_first(self, cache_path, tmp_path, capsys):
         model = tmp_path / "model"
         assert cli.main(["train", "--features", cache_path, "--out", str(model),
@@ -241,6 +259,11 @@ class TestExperiment:
         text = capsys.readouterr().out
         for row in ("Max", "Mean", "Min", "Concat"):
             assert row in text
+        # one feature cache per base descriptor and one record per result, nothing else
+        kinds = Counter("hdfc" if name.endswith(".hdfc") else
+                        "result" if re.fullmatch(r"result_[0-9a-f]{32}\.json", name) else name
+                        for name in os.listdir(out / "cache"))
+        assert kinds == {"hdfc": 4, "result": 8}
 
     def test_single_type_needs_only_its_own_weights(self, tiny_dataset, weight_files,
                                                     tmp_path, monkeypatch):
@@ -466,7 +489,7 @@ class TestOptionSurface:
         """A run of each command that succeeds, writing only under tmp_path/out."""
         from scenefuse.classifier import save_model, train_ovr
 
-        y, _, X = load_cache(cache_path)
+        y, _, _, X = load_cache(cache_path)
         model = tmp_path / "model.hdfm"
         save_model(train_ovr(X, y, 1), str(model))
         out = str(tmp_path / "out")
@@ -616,7 +639,7 @@ class TestTrunkRecognition:
         path = tmp_path / "stub4.hdfw"
         save_weights(random_bundle(stub_spec(mid_channels=4), seed=0), str(path))
         assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_OK
-        _, _, matrix = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
+        *_, matrix = load_cache(str(next((tmp_path / "o").glob("*_ow.hdfc"))))
         assert matrix.shape == (tiny_dataset[1].total_images, 512)
 
     def test_unknown_trunk_is_data_error(self, tiny_dataset, tmp_path):
@@ -722,7 +745,7 @@ class TestExtractFailures:
         assert "1 files failed" in captured.err
         assert str(victim) in captured.err
         # successful records are still flushed
-        _, paths, matrix = load_cache(str(next(out.glob("*.hdfc"))))
+        _, paths, _, matrix = load_cache(str(next(out.glob("*.hdfc"))))
         assert matrix.shape == (17, 2048) and str(victim) not in paths
 
     @pytest.mark.parametrize("command", ["extract", "experiment"])
@@ -815,7 +838,7 @@ class TestExtractFailures:
         from scenefuse.cache import save_cache
 
         features = tmp_path / "one.hdfc"
-        save_cache(str(features), [0] * 4, [f"a/{i}.ppm" for i in range(4)],
+        save_cache(str(features), [0] * 4, [f"a/{i}.ppm" for i in range(4)], [(9, 0)] * 4,
                    np.eye(4, dtype=np.float32))
         rc = cli.main(["train", "--features", str(features), "--out", str(tmp_path / "m"),
                        "--folds", "2"])

@@ -4,6 +4,7 @@ import os
 import shutil
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,9 +100,12 @@ class TestBaseFeatures:
         assert np.array_equal(only["ow"], full["ow"])
 
     def test_extraction_version_changes_the_digest(self, stub_pair, monkeypatch):
+        # so is the cache format's: a cache of another format is missed by name, never opened
         before = backend_digest(stub_pair[0])
-        monkeypatch.setattr(experiment, "EXTRACTION_VERSION", experiment.EXTRACTION_VERSION + 1)
-        assert backend_digest(stub_pair[0]) != before
+        for version in ("EXTRACTION_VERSION", "FORMAT_VERSION"):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiment, version, getattr(experiment, version) + 1)
+                assert backend_digest(stub_pair[0]) != before
 
     @staticmethod
     def count_extractions(monkeypatch):
@@ -169,23 +173,41 @@ class TestBaseFeatures:
         compute_base_features(manifest, *stub_pair, str(tmp_path / "cache"))
         assert sorted(calls) == ["object", "scene"]
 
-    def test_a_missing_stamps_record_is_named(self, tiny_dataset, stub_pair, tmp_path,
-                                              monkeypatch, caplog):
-        # as after a run killed between writing a cache and its record
-        _, manifest = tiny_dataset
-        cache_dir = tmp_path / "cache"
-        first, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
-        record = sorted(cache_dir.glob("*.stamps.json"))[0]
-        record.unlink()
+    def test_a_run_killed_after_one_cache_write_leaves_no_stale_row(
+            self, tiny_dataset, stub_pair, tmp_path, monkeypatch):
+        root, _ = tiny_dataset
+        shutil.copytree(root, tmp_path / "data")
+        manifest = scan_dataset(str(tmp_path / "data"))
+        cache_dir = str(tmp_path / "cache")
+        _, _, paths = compute_base_features(manifest, *stub_pair, cache_dir)
+        victim = paths[0]
+        original, before = Path(victim).read_bytes(), os.stat(victim).st_mtime_ns
+        # an edit that keeps the size, made 10 s later
+        with open(victim, "r+b") as fh:
+            fh.seek(-48, os.SEEK_END)
+            fh.write(bytes(255 - b for b in original[-48:]))
+        os.utime(victim, ns=(before + 10**10, before + 10**10))
+
+        save_cache = experiment.save_cache
+
+        def killed_after_write(*args):
+            save_cache(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "save_cache", killed_after_write)
+        with pytest.raises(KeyboardInterrupt):
+            compute_base_features(manifest, *stub_pair, cache_dir)
+        monkeypatch.setattr(experiment, "save_cache", save_cache)
+        # the edit undone as `cp -p` or `rsync -a` would: old bytes, old mtime_ns
+        Path(victim).write_bytes(original)
+        os.utime(victim, ns=(before, before))
 
         calls = self.count_extractions(monkeypatch)
-        with caplog.at_level(logging.INFO, logger="scenefuse.experiment"):
-            again, _, _ = compute_base_features(manifest, *stub_pair, str(cache_dir))
+        again, _, _ = compute_base_features(manifest, *stub_pair, cache_dir)
         assert len(calls) == 1
-        assert f"{record} is missing" in caplog.text
-        assert "changed since" not in caplog.text
+        fresh, _, _ = compute_base_features(manifest, *stub_pair, None)
         for s in SOURCES:
-            assert np.array_equal(first[s], again[s])
+            assert np.array_equal(again[s], fresh[s]), s
 
     def test_a_future_dated_image_is_extracted_once(self, tiny_dataset, stub_pair,
                                                      tmp_path, monkeypatch):
@@ -550,7 +572,7 @@ class TestResultRecords:
             self, tiny_dataset, stub_pair, small_protocol, tmp_path, monkeypatch):
         _, manifest = tiny_dataset
         monkeypatch.chdir(tmp_path)
-        for name in ("load_record", "save_record"):
+        for name in ("load_record", "save_cache", "write_json"):
             monkeypatch.setattr(experiment, name, None)
         report = self.ablation(manifest, stub_pair, small_protocol, None,
                                configs=(FeatureConfig("ow"),))
