@@ -18,12 +18,15 @@ import struct
 
 
 def read_json(path: str, error: type[Exception]) -> dict:
-    """The JSON object in the UTF-8 file at `path`. Bytes that do not decode,
-    bad JSON or a value that is not an object raise `error`; OSError passes."""
+    """The JSON object in the UTF-8 file at `path`. Undecodable bytes, bad JSON (NaN and
+    the infinities too) or a value that is not an object raise `error`; OSError passes."""
     with open(path, "rb") as fh:
         data = fh.read()
+
+    def no_number(constant):  # json.loads takes NaN, Infinity and -Infinity by default
+        raise ValueError(f"{constant} is not a JSON number")
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), parse_constant=no_number)
     except ValueError as exc:  # JSON and UTF-8 decoding errors alike
         raise error(f"{path}: not a JSON object: {exc}") from None
     if not isinstance(doc, dict):
@@ -46,8 +49,8 @@ def write_file(path: str, chunks) -> None:
 
 
 def write_json(path: str, doc) -> None:
-    """Write `doc` as indented, key-sorted JSON ending in a newline."""
-    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
+    """Write `doc` as indented, key-sorted JSON ending in a newline; NaN raises ValueError."""
+    write_file(path, [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False).encode(), b"\n"])
 
 
 class BoundedReader:

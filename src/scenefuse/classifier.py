@@ -321,6 +321,8 @@ def evaluate(model: LinearModel, X: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if not y.size:
         raise TrainingDataError("no samples to evaluate")
+    if not np.all(np.isfinite(X)):  # the argmax of NaN scores would pick a class
+        raise TrainingDataError("features contain non-finite values")
     pred = predict(model, X)
     if pred.shape != y.shape:
         raise ValueError(f"label shape {y.shape} does not match {pred.shape}")

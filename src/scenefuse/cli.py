@@ -165,17 +165,17 @@ def _require_out(args) -> str:
 
 def _load_backends(args, sources):
     """Load only the weight bundles the given base-feature sources need."""
-    from .pipeline import Backend
+    from .pipeline import ORIGINS, Backend
     from .weights import load_weights
 
-    def build(kind: str, own: set, path: str, flag: str) -> Backend | None:
-        if not own & set(sources):
+    def build(kind: str, path: str, flag: str) -> Backend | None:
+        if kind not in {ORIGINS[source][0] for source in sources}:
             return None
         bundle = load_weights(_require_file(path, flag))
         return Backend(kind=kind, spec=_spec_for_bundle(bundle), weights=bundle)
 
-    object_backend = build("object", {"op", "ow"}, args.object_weights, "--object-weights")
-    scene_backend = build("scene", {"sp", "sw"}, args.scene_weights, "--scene-weights")
+    object_backend = build("object", args.object_weights, "--object-weights")
+    scene_backend = build("scene", args.scene_weights, "--scene-weights")
     if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise CliConfigError("object and scene weight bundles have different shapes")
     return object_backend, scene_backend
@@ -262,9 +262,8 @@ def cmd_extract(args) -> int:
     base = extract_dataset(paths, object_backend, scene_backend, config.sources)
     matrix = config_matrix(base, config)
 
-    suffix = f"{feature_type}-{pool}" if feature_type == "hdf" else feature_type
     os.makedirs(out_dir, exist_ok=True)
-    cache_path = os.path.join(out_dir, f"{manifest.name}_{suffix}.hdfc")
+    cache_path = os.path.join(out_dir, f"{manifest.name}_{config.name.lower()}.hdfc")
     save_cache(cache_path, labels[kept], paths, stamps, matrix)
     print(f"wrote {len(kept)} records (dim {config.dim}) to {cache_path}")
     return EXIT_DATA if failed else EXIT_OK

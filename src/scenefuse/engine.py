@@ -92,15 +92,15 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     rows = max(1, min(h, _BLOCK_BYTES // max(1, c_in * 9 * w * 4)))
     out = np.empty((c_out, h * w), dtype=np.float32)
     blocks = [(r0, min(rows, h - r0), 0, w) for r0 in range(0, h, rows)]
-    _conv_blocks(x, kernel, blocks, rows, [out[:, r0 * w : (r0 + n) * w]
-                                           for r0, n, _, _ in blocks])
-    out += bias[:, None]
+    _conv_blocks(x, kernel, bias, blocks, rows, [out[:, r0 * w : (r0 + n) * w]
+                                                 for r0, n, _, _ in blocks])
     return out.reshape(c_out, h, w)
 
 
-def _conv_blocks(x, kernel, blocks, rows, targets) -> None:
-    """`conv2d`'s output less the bias over each (top, rows, left, columns) block,
-    top to bottom and at most `rows` rows, into its (C_out, rows * columns) target."""
+def _conv_blocks(x, kernel, bias, blocks, rows, targets) -> None:
+    """`conv2d`'s output over each (top, rows, left, columns) block, top to bottom
+    and at most `rows` rows, into its (C_out, rows * columns) target. The bias is
+    added to each block right after its sgemm, the one place any conv adds it."""
     c_in, h, w = x.shape
     c_out, k = kernel.shape[0], 9 * c_in
     flat = kernel.reshape(c_out, k)
@@ -119,6 +119,7 @@ def _conv_blocks(x, kernel, blocks, rows, targets) -> None:
             for dx in range(3):
                 cols[:, dy, dx] = band[:, dy : dy + n, c0 + dx : c0 + dx + span]
         np.matmul(flat, cols.reshape(k, n * span), out=target)
+        target += bias[:, None]
 
 
 def conv2d_naive(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -320,9 +321,7 @@ def _conv_patches(x: np.ndarray, entry, changed: np.ndarray) -> list:
     sizes = np.cumsum([0] + [c_out * n * span for _, n, _, span in spans])
     store = np.empty(sizes[-1], dtype=np.float32)  # the patches, one after another
     values = [store[a:b].reshape(c_out, -1) for a, b in zip(sizes, sizes[1:])]
-    _conv_blocks(x, entry.kernel, spans, rows, values)
-    for v in values:
-        v += entry.bias[:, None]
+    _conv_blocks(x, entry.kernel, entry.bias, spans, rows, values)
     np.maximum(store, np.float32(0.0), out=store)
     return [(r0, c0, v.reshape(c_out, n, span)) for (r0, n, c0, span), v in zip(spans, values)]
 

@@ -35,15 +35,15 @@ from .classifier import (C_GRID, DEFAULT_TOL, MAX_ITER, GridSearchReport, evalua
                          grid_search_c, train_ovr)
 from .datasets import DatasetError, DatasetManifest, SplitPlan, SplitProtocol, make_split
 from .imageio import NetpbmError, read_raster
-from .pipeline import (FEATURE_DIM, POOL_OPS, SOURCES, Backend,
-                       extract_base_features, fuse_matrix)
+from .pipeline import (FEATURE_DIM, POOL_OPS, SOURCES, Backend, extract_base_features,
+                       fuse_matrix, source_backends)
 
 logger = logging.getLogger(__name__)
 
 _TUNE_STREAM = 0x7A11
 # Bump whenever extraction (engine, resize, slicing, pipeline) would give other features.
 EXTRACTION_VERSION = 1
-FEATURE_TYPES = ("op", "ow", "sp", "sw", "hdf")
+FEATURE_TYPES = (*SOURCES, "hdf")
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class FeatureConfig:
 
 def default_configs() -> tuple[FeatureConfig, ...]:
     """The full ablation: four single types plus hdf under every pool op."""
-    singles = tuple(FeatureConfig(t) for t in ("op", "ow", "sp", "sw"))
-    hybrids = tuple(FeatureConfig("hdf", op) for op in POOL_OPS)
-    return singles + hybrids
+    return (*map(FeatureConfig, SOURCES), *(FeatureConfig("hdf", op) for op in POOL_OPS))
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,6 @@ def backend_digest(backend: Backend) -> str:
         h.update(np.ascontiguousarray(entry.kernel, dtype="<f4"))
         h.update(np.ascontiguousarray(entry.bias, dtype="<f4"))
     return h.hexdigest()[:16]
-
-
-def _cache_path(cache_dir: str, dataset: str, source: str, digest: str) -> str:
-    return os.path.join(cache_dir, f"{dataset}_{source}_{digest}.hdfc")
 
 
 def stamp(path: str) -> tuple[int, int] | None:
@@ -221,10 +215,10 @@ def compute_base_features(
     paths, labels = manifest.flat_paths_labels()
     sources = [s for s in SOURCES if s in sources]
     if cache_dir:
-        owners = {s: object_backend if s in ("op", "ow") else scene_backend for s in sources}
+        owners = source_backends(object_backend, scene_backend, sources)
         needed = {b.kind: b for b in owners.values()}  # by kind: a Backend is no dict key
         digests = {kind: backend_digest(b) for kind, b in needed.items()}
-        cache_paths = {s: _cache_path(cache_dir, manifest.name, s, digests[b.kind])
+        cache_paths = {s: os.path.join(cache_dir, f"{manifest.name}_{s}_{digests[b.kind]}.hdfc")
                        for s, b in owners.items()}
         # taken before extraction, so an image changed while it runs is seen next time
         stamps = [stamp(path) for path in paths]
@@ -290,7 +284,7 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
         if record is not None:
             chosen_c, accuracy = record["chosen_c"], record["accuracy"]
             if (type(chosen_c) is not int or chosen_c not in fields["c_values"]
-                    or type(accuracy) is not float):
+                    or type(accuracy) is not float or not 0.0 <= accuracy <= 1.0):
                 raise CacheFileError(f"{path}: result record holds chosen C {chosen_c!r} "
                                      f"and accuracy {accuracy!r}")
             logger.info("reused result record %s", path)
@@ -397,9 +391,6 @@ def run_experiment(
     return report
 
 
-_AGG_LABELS = {"max": "Max", "mean": "Mean", "min": "Min", "concat": "Concat"}
-
-
 def format_table(report: ExperimentReport) -> str:
     """Human-readable tables mirroring the two ablation layouts."""
     by_name = {r.name: r for r in report.results}
@@ -413,7 +404,7 @@ def format_table(report: ExperimentReport) -> str:
         cs = ",".join(str(c) for c in r.chosen_c)
         return f"  {label:<8} {r.mean_accuracy * 100:6.2f}   [{reps}]   C={cs}"
 
-    singles = [n for n in ("OP", "OW", "SP", "SW") if n in by_name]
+    singles = [n for n in (FeatureConfig(s).name for s in SOURCES) if n in by_name]
     if singles:
         lines.append("feature types (mean accuracy %, per-repetition, chosen C):")
         for name in singles:
@@ -424,5 +415,5 @@ def format_table(report: ExperimentReport) -> str:
     if aggs:
         lines.append("hybrid aggregators (mean accuracy %, per-repetition, chosen C):")
         for op in aggs:
-            lines.append(row(_AGG_LABELS[op], by_name[f"HDF-{op}"]))
+            lines.append(row(op.capitalize(), by_name[f"HDF-{op}"]))
     return "\n".join(lines) + "\n"

@@ -31,7 +31,10 @@ from .slicing import WORKING_SIZE, all_masks, render_slice
 from .weights import WeightBundle, random_bundle
 
 FEATURE_DIM = 512
-SOURCES = ("op", "ow", "sp", "sw")
+# each base descriptor's (trunk kind, level); the other modules read which trunk serves it here
+ORIGINS = {"op": ("object", "part"), "ow": ("object", "whole"),
+           "sp": ("scene", "part"), "sw": ("scene", "whole")}
+SOURCES = tuple(ORIGINS)
 POOL_OPS = ("max", "mean", "min", "concat")
 BACKEND_KINDS = ("object", "scene")
 
@@ -70,10 +73,19 @@ def resize_to_working(raster: np.ndarray) -> np.ndarray:
     raster = np.asarray(raster, dtype=np.float32)
     if raster.ndim != 3 or raster.shape[2] != 3:
         raise ValueError(f"raster must be (H, W, 3), got {raster.shape}")
-    if raster.shape[0] < 1 or raster.shape[1] < 1:
-        raise ValueError("empty raster")
     chw = raster.transpose(2, 0, 1)
     return bilinear_resize(chw, WORKING_SIZE, WORKING_SIZE)
+
+
+def source_backends(object_backend: Backend | None, scene_backend: Backend | None, sources):
+    """Each of `sources`' backend, which must be of the kind `ORIGINS` names."""
+    backends = dict(zip(BACKEND_KINDS, (object_backend, scene_backend)))
+    for source in sources:
+        kind = ORIGINS[source][0]
+        if backends[kind] is None or backends[kind].kind != kind:
+            raise ValueError(f"source {source!r} needs a backend of kind {kind!r}; "
+                             "pass backends as (object, scene)")
+    return {source: backends[ORIGINS[source][0]] for source in sources}
 
 
 def extract_base_features(
@@ -93,17 +105,11 @@ def extract_base_features(
     quadrant k and circ sector k run as one pair forward, tri and diagonal
     slices as delta forwards over the backend's zero reference.
     """
-    backends = {"op": object_backend, "ow": object_backend,
-                "sp": scene_backend, "sw": scene_backend}
-    for source in sources:
-        kind = "object" if source in ("op", "ow") else "scene"
-        if backends[source] is None or backends[source].kind != kind:
-            raise ValueError(f"source {source!r} needs a backend of kind {kind!r}; "
-                             "pass backends as (object, scene)")
+    backends = source_backends(object_backend, scene_backend, sources)
     if object_backend and scene_backend and object_backend.spec != scene_backend.spec:
         raise ValueError("object and scene backends must share one network spec")
 
-    part = [s for s in ("op", "sp") if s in sources]
+    part = [s for s in SOURCES if s in sources and ORIGINS[s][1] == "part"]
     # before this image's arrays: among them, glibc went on to trim the heap per image
     zeros = {source: backends[source].zero_reference for source in part}
     working = resize_to_working(raster)
@@ -126,7 +132,7 @@ def extract_base_features(
                     [forward_delta_to_pool5(*args, renders[0], zeros[source])])
             for j, out in zip(slots, outs):
                 vectors[source][j] = gap(out)
-    for source in [s for s in ("ow", "sw") if s in sources]:
+    for source in [s for s in SOURCES if s in sources and ORIGINS[s][1] == "whole"]:
         backend = backends[source]
         vectors[source] = [gap(forward_to_pool5(backend.spec, backend.weights,
                                                 working - backend.means[:, None, None]))]

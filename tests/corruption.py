@@ -57,6 +57,10 @@ RECORD_DAMAGE = {
     # `True in [1, ...]` and `1.0 in [1, ...]` both hold, so each passes a membership check
     "C is true": lambda text: json.dumps({**json.loads(text), "chosen_c": True}),
     "C is 1.0": lambda text: json.dumps({**json.loads(text), "chosen_c": 1.0}),
+    # each is a float, so each passes a type check; json.dumps writes NaN as the bare word
+    "accuracy is NaN": lambda text: json.dumps({**json.loads(text), "accuracy": float("nan")}),
+    "accuracy above 1": lambda text: json.dumps({**json.loads(text), "accuracy": 7.5}),
+    "accuracy below 0": lambda text: json.dumps({**json.loads(text), "accuracy": -1.0}),
 }
 
 

@@ -117,12 +117,20 @@ def test_write_replaces_previous_file(writer, tmp_path):
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
 
-@pytest.mark.parametrize("content", [b"{not json", b'{"k": "\xff"}', b"[1]", b"7", b""])
+@pytest.mark.parametrize("content", [b"{not json", b'{"k": "\xff"}', b"[1]", b"7", b"",
+                                     b'{"k": NaN}', b'{"k": Infinity}', b'{"k": [-Infinity]}'])
 def test_read_json_raises_the_callers_error(content, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(content)
     with pytest.raises(LookupError, match=f"{path}: not a JSON object"):
         binfile.read_json(str(path), LookupError)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_is_not_json(value, tmp_path):
+    with pytest.raises(ValueError):
+        binfile.write_json(str(tmp_path / "doc.json"), {"k": [value]})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_json_passes_os_errors(tmp_path):

@@ -199,6 +199,15 @@ class TestOneVsRest:
         wrong = 1 - y
         assert evaluate(model, X, wrong) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evaluate_rejects_non_finite_rows(self, bad, rng):
+        # the argmax of a NaN row's scores is its first class, right or not
+        X, y = blobs(rng, k=2)
+        model = train_ovr(X, y, 5)
+        X[3] = bad
+        with pytest.raises(classifier.TrainingDataError, match="non-finite"):
+            evaluate(model, X, y)
+
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_per_class_oracle_solves(self, dim, rng):
         # 45 rows: the full space at dim 8, the row space (w = Qz) at dim 64

@@ -223,6 +223,24 @@ class TestTrainEval:
         assert captured.out == "" and str(taken) in captured.err
         assert taken.read_bytes() == b"not a directory"
 
+    def test_eval_non_finite_features_is_data_error(self, cache_path, tmp_path, capsys):
+        from scenefuse.cache import save_cache
+
+        model = tmp_path / "model"
+        assert cli.main(["train", "--features", cache_path, "--out", str(model),
+                         "--folds", "3"]) == 0
+        labels, paths, stamps, matrix = load_cache(cache_path)
+        matrix[0] = np.nan
+        bad = tmp_path / "nan.hdfc"
+        save_cache(str(bad), labels, paths, stamps, matrix)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        rc = cli.main(["eval", "--model", str(model / "model.hdfm"), "--features", str(bad),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "data error: features contain non-finite values" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
     def test_eval_dim_mismatch_is_data_error(self, cache_path, tiny_dataset,
                                              weight_files, tmp_path):
         root, _ = tiny_dataset

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -210,6 +215,35 @@ class TestExtractBaseFeatures:
         raster = rng.uniform(0, 255, (40, 40, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="object, scene"):
             extract_base_features(scn, obj, raster)
+
+    def test_images_after_the_first_take_no_fresh_pages(self):
+        # glibc hands the free top of its heap back to the kernel once that exceeds
+        # the trim threshold. An allocation order that trims after every image
+        # makes every image fault those pages in again, about 15% of the time of a
+        # stub extraction (ROADMAP, Parked). Counted in a fresh process at one BLAS
+        # thread, as the benchmark runs.
+        code = textwrap.dedent("""
+            import json, resource
+            import numpy as np
+            from scenefuse.pipeline import extract_base_features
+            from scenefuse.synthetic import stub_backend_pair
+            backends = stub_backend_pair(23)
+            rasters = np.random.default_rng(0).integers(0, 256, (8, 64, 64, 3), np.uint8)
+            faults = []
+            for raster in rasters:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                extract_base_features(*backends, raster)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(json.dumps(faults))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout)
+        assert max(faults[1:]) < 500, f"minor faults per image: {faults}"
 
     def test_uint8_raster_gives_the_float32_copys_descriptors(self, rng, tmp_path):
         obj = tiny_backend("object", seed=1)

@@ -1,6 +1,7 @@
 """Every public function, class, method and property in ``src/scenefuse`` has
 a caller there, unless it is a documented library entry point, every error
-type it defines has an exit code, and only `binfile` and `imageio` read files."""
+type it defines has an exit code, only `binfile` and `imageio` read files, and
+the package stays within its line budget."""
 
 import ast
 import importlib
@@ -14,6 +15,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scenefuse"
 # `DatasetManifest.total_images` is read by the benchmark only
 ENTRY_POINTS = {"save_weights", "save_split", "make_synthetic_dataset", "stub_backend_pair",
                 "total_images"}
+# the lines of src/scenefuse/*.py, as `cat src/scenefuse/*.py | wc -l` counts them; a
+# change that must grow the package raises this in its own diff and says why
+MAX_SRC_LINES = 2991
 
 
 def test_public_names_have_a_caller_in_src():
@@ -64,3 +68,8 @@ def test_only_the_file_layer_reads_files():
                     and node.func.attr in reads):
                 callers.append(f"{path.name}:{node.lineno} .{node.func.attr}")
     assert callers == []
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in SRC.glob("*.py"))
+    assert lines <= MAX_SRC_LINES
