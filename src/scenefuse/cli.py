@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
 
 from .binfile import read_json, write_json
@@ -234,8 +235,9 @@ def cmd_slice(args) -> int:
 
 def cmd_extract(args) -> int:
     from .cache import save_cache
-    from .datasets import DatasetError, scan_dataset
-    from .experiment import FeatureConfig, config_matrix, extract_dataset, stamp, unreadable
+    from .datasets import DatasetError, DatasetManifest, scan_dataset
+    from .experiment import (FeatureConfig, compute_base_features, config_matrix, stamp,
+                             unreadable)
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
@@ -243,29 +245,29 @@ def cmd_extract(args) -> int:
     feature_type = args.feature_type
     if feature_type != "hdf" and args.pool:
         raise CliConfigError(f"--pool applies only to --feature-type hdf, not {feature_type}")
-    pool = args.pool or "concat"
-    config = FeatureConfig(feature_type, pool if feature_type == "hdf" else None)
+    config = FeatureConfig(feature_type, (args.pool or "concat") if feature_type == "hdf" else None)
     object_backend, scene_backend = _load_backends(args, config.sources)
     manifest = scan_dataset(args.dataset)
-    paths, labels = manifest.flat_paths_labels()
 
     # an unreadable file is reported before the first forward; the rest are written
-    failed = unreadable(paths)
+    failed = unreadable(manifest.flat_paths_labels()[0])
     if failed:
         print(*(f"error: {message}" for message in failed.values()),
               f"{len(failed)} files failed", sep="\n", file=sys.stderr)
-    if len(failed) == len(paths):
+    if len(failed) == manifest.total_images:
         raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
-    kept = [i for i, path in enumerate(paths) if path not in failed]
-    paths = [paths[i] for i in kept]
-    stamps = [stamp(path) for path in paths]  # before extraction, as the experiment's are
-    base = extract_dataset(paths, object_backend, scene_backend, config.sources)
+    # a class left empty keeps its place, so every label id stays the same
+    readable = DatasetManifest(manifest.name, tuple(
+        (name, tuple(path for path in paths if path not in failed))
+        for name, paths in manifest.classes))
+    stamps = [stamp(path) for path in readable.flat_paths_labels()[0]]  # before extraction
+    base, labels, paths = compute_base_features(
+        readable, object_backend, scene_backend, os.path.join(out_dir, "cache"), config.sources)
     matrix = config_matrix(base, config)
 
-    os.makedirs(out_dir, exist_ok=True)
     cache_path = os.path.join(out_dir, f"{manifest.name}_{config.name.lower()}.hdfc")
-    save_cache(cache_path, labels[kept], paths, stamps, matrix)
-    print(f"wrote {len(kept)} records (dim {config.dim}) to {cache_path}")
+    save_cache(cache_path, labels, paths, stamps, matrix)
+    print(f"wrote {len(paths)} records (dim {config.dim}) to {cache_path}")
     return EXIT_DATA if failed else EXIT_OK
 
 
@@ -441,6 +443,8 @@ def main(argv=None) -> int:
     handler, level = logging.StreamHandler(), log.level
     log.addHandler(handler)
     log.setLevel(logging.INFO)
+    # SIGTERM takes SIGINT's path, so a stopped experiment still writes its report
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -464,6 +468,7 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+        signal.signal(signal.SIGTERM, sigterm)
 
 
 if __name__ == "__main__":

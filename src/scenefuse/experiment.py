@@ -8,9 +8,9 @@ is recorded. Base descriptors are extracted once per image and reused by
 all configurations.
 
 Given a cache directory, a run keeps two kinds of file there. Each base
-descriptor's ``HDFC`` cache is keyed by its trunk's digest, which folds in
-`EXTRACTION_VERSION` and the cache format's version, and reused only while
-every image has the path, label, size and ``mtime_ns`` stored in its record.
+descriptor's ``HDFC`` cache, shared with ``extract``, is keyed by its trunk's
+digest, which folds in `EXTRACTION_VERSION` and the cache format's version; it
+is reused only while every image keeps the path, label and `stamp` of its record.
 Each (configuration, repetition) leaves a result record, keyed by a sha256
 over `cache.RECORD_VERSION`, the configuration name, folds, tuning seed, C
 grid, the solver's tolerance and iteration cap, and the train rows, then
@@ -148,24 +148,6 @@ def stamp(path: str) -> tuple[int, int] | None:
     return st.st_size, st.st_mtime_ns
 
 
-def _try_load_base(cache_paths, paths, labels, stamps):
-    if None in stamps or not all(map(os.path.isfile, cache_paths.values())):
-        return None
-    listed = list(zip(paths, labels.tolist(), stamps))
-    mats = {}
-    for source, path in cache_paths.items():
-        cached_labels, cached_paths, cached_stamps, mats[source] = load_cache(
-            path, expect_dim=FEATURE_DIM)
-        cached = list(zip(cached_paths, cached_labels.tolist(), cached_stamps))
-        if cached != listed:
-            changed = next((image for image, a, b in zip(paths, cached, listed) if a != b),
-                           "the image list")
-            logger.info("%s changed since %s was written; re-extracting", changed, path)
-            return None
-    logger.info("loaded cached base features: %s", ", ".join(cache_paths.values()))
-    return mats
-
-
 def unreadable(paths) -> dict[str, str]:
     """Maps each image of `paths` that `read_raster` rejects (NetpbmError,
     OSError) to a message naming it, in `paths` order, holding one file's bytes at a time."""
@@ -207,36 +189,49 @@ def compute_base_features(
     Returns (matrices, labels, paths) with matrices mapping each of
     `sources` to an (N, 512) float32 array in manifest order; a backend
     none of whose sources is requested may be None. When `cache_dir` is
-    given, each source's cache is keyed by its own backend's digest;
-    matching caches are reused and fresh results are written back. On a
-    cache miss, images that cannot be read raise one DatasetError naming
-    them all, before the first forward and before any cache is written.
+    given, each source's cache is keyed by its own backend's digest and
+    reused while it lists the manifest's paths, labels and stamps; only the
+    other sources are extracted, and written back. Before that, images that
+    cannot be read raise one DatasetError naming them all, writing nothing.
     """
     paths, labels = manifest.flat_paths_labels()
     sources = [s for s in SOURCES if s in sources]
+    mats, cache_paths = {}, {}
     if cache_dir:
         owners = source_backends(object_backend, scene_backend, sources)
         needed = {b.kind: b for b in owners.values()}  # by kind: a Backend is no dict key
         digests = {kind: backend_digest(b) for kind, b in needed.items()}
-        cache_paths = {s: os.path.join(cache_dir, f"{manifest.name}_{s}_{digests[b.kind]}.hdfc")
-                       for s, b in owners.items()}
         # taken before extraction, so an image changed while it runs is seen next time
         stamps = [stamp(path) for path in paths]
-        cached = _try_load_base(cache_paths, paths, labels, stamps)
-        if cached is not None:
-            return cached, labels, paths
+        listed = list(zip(paths, labels.tolist(), stamps))
+        for source, backend in owners.items():
+            path = cache_paths[source] = os.path.join(
+                cache_dir, f"{manifest.name}_{source}_{digests[backend.kind]}.hdfc")
+            if None in stamps or not os.path.isfile(path):
+                continue
+            cached_labels, cached_paths, cached_stamps, mat = load_cache(path, FEATURE_DIM)
+            cached = list(zip(cached_paths, cached_labels.tolist(), cached_stamps))
+            if cached == listed:
+                mats[source] = mat
+            else:
+                changed = next((image for image, a, b in zip(paths, cached, listed) if a != b),
+                               "the image list")
+                logger.info("%s changed since %s was written; re-extracting", changed, path)
+        if mats:
+            logger.info("loaded cached base features: %s", ", ".join(map(cache_paths.get, mats)))
 
-    failed = unreadable(paths)
-    if failed:
-        raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
-                           + "; ".join(failed.values()))
-    mats = extract_dataset(paths, object_backend, scene_backend, sources)
-
-    if cache_dir and None not in stamps:  # an image that could not be stat'ed is not cached
-        os.makedirs(cache_dir, exist_ok=True)
-        for source, path in cache_paths.items():
-            save_cache(path, labels, paths, stamps, mats[source])
-    return mats, labels, paths
+    missing = [source for source in sources if source not in mats]
+    if missing:
+        failed = unreadable(paths)
+        if failed:
+            raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
+                               + "; ".join(failed.values()))
+        mats.update(extract_dataset(paths, object_backend, scene_backend, missing))
+        if cache_dir and None not in stamps:  # an image that could not be stat'ed is not cached
+            os.makedirs(cache_dir, exist_ok=True)
+            for source in missing:
+                save_cache(cache_paths[source], labels, paths, stamps, mats[source])
+    return {source: mats[source] for source in sources}, labels, paths
 
 
 def config_matrix(base: dict[str, np.ndarray], config: FeatureConfig) -> np.ndarray:

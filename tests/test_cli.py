@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -163,7 +164,53 @@ class TestExtract:
                        "--scene-weights", zero, "--out", str(out)])
         assert rc == cli.EXIT_DATA
         assert "data error: zero feature vector" in capsys.readouterr().err
-        assert not out.exists()
+        # no fused file, but the base descriptors stay in the store for a later run
+        assert list(out.glob("*.hdfc")) == []
+        assert sorted(p.name.split("_")[1] for p in (out / "cache").glob("*.hdfc")) == [
+            "op", "ow", "sp", "sw"]
+
+    def test_experiment_reuses_what_extract_stored(self, tiny_dataset, weight_files, tmp_path,
+                                                   monkeypatch):
+        from scenefuse import experiment
+
+        calls = []
+        original = experiment.extract_base_features
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(experiment, "extract_base_features", counting)
+        root, manifest = tiny_dataset
+        obj_w, scn_w = weight_files
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert cli.main(["extract", "--dataset", str(root), "--object-weights", obj_w,
+                         "--scene-weights", scn_w, "--out", str(shared)]) == 0
+        assert cli.main(experiment_args(tiny_dataset, weight_files, shared)
+                        + ["--folds", "2"]) == 0
+        assert len(calls) == manifest.total_images  # one extraction per image, both commands
+        assert cli.main(experiment_args(tiny_dataset, weight_files, fresh)
+                        + ["--folds", "2"]) == 0
+        assert (shared / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
+    def test_a_second_type_extracts_only_the_missing_descriptors(
+            self, tiny_dataset, weight_files, tmp_path, monkeypatch):
+        views = []
+        watch_forwards(monkeypatch, views.append)
+        root, manifest = tiny_dataset
+        obj_w, scn_w = weight_files
+        args = ["extract", "--dataset", str(root), "--object-weights", obj_w,
+                "--scene-weights", scn_w]
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        per_image = []
+        for feature_type in ("ow", "hdf"):
+            views.clear()
+            assert cli.main(args + ["--feature-type", feature_type, "--out", str(shared)]) == 0
+            per_image.append(sum(views) / manifest.total_images)
+        assert per_image == [1, 41]  # ow, then op, sp and sw
+        assert cli.main(args + ["--out", str(fresh)]) == 0
+        name = f"{manifest.name}_hdf-concat.hdfc"
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +374,25 @@ class TestExperiment:
         for record in records:
             assert err.count(f"reused result record {record}\n") == 1
         assert err.count("loaded cached base features") == 1
+
+    def test_sigterm_leaves_an_incomplete_report(self, tiny_dataset, weight_files, tmp_path):
+        # the signal kill, timeout and batch schedulers send, here at the first grid search
+        out = tmp_path / "exp"
+        code = ("import os, signal, sys, time\n"
+                "from scenefuse import cli, experiment\n"
+                "def tune_cost(*args):\n"
+                "    os.kill(os.getpid(), signal.SIGTERM)\n"
+                "    time.sleep(30)\n"
+                "experiment.tune_cost = tune_cost\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        args = experiment_args(tiny_dataset, weight_files, out) + [
+            "--folds", "2", "--feature-type", "ow"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == -signal.SIGINT, done.stderr.decode()  # SIGINT's path
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["complete"] is False and doc["configurations"] == []
 
     @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
     def test_bad_result_record_is_data_error(self, damage, tiny_dataset, weight_files,
