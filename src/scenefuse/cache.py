@@ -1,4 +1,4 @@
-"""Feature cache files (magic ``HDFC``) and result records.
+"""Feature cache files (magic ``HDFC``).
 
 An ``HDFC`` file holds one labelled, stamped path per matrix row.
 
@@ -18,11 +18,9 @@ were taken. Little-endian layout::
         path            UTF-8 bytes
         values          dim x f32
 
-Version 1 had no stamps; such a file raises CacheVersionError. A result
-record is a small JSON object holding the plain fields of its key and the
-results they produced (see ``experiment``). Every file here is written
-through ``binfile.write_file``: under a temporary name, then renamed over
-the target, so features and their stamps are replaced together.
+Version 1 had no stamps; such a file raises CacheVersionError. A cache is
+written through ``binfile.write_file``: under a temporary name, then renamed
+over the target, so features and their stamps are replaced together.
 """
 
 from __future__ import annotations
@@ -31,12 +29,10 @@ import struct
 
 import numpy as np
 
-from .binfile import BoundedReader, read_json, write_file
+from .binfile import BoundedReader, write_file
 
 MAGIC = b"HDFC"
 FORMAT_VERSION = 2
-# Bump whenever tuning, training or evaluation would give another result.
-RECORD_VERSION = 1
 
 
 class CacheFileError(ValueError):
@@ -76,23 +72,6 @@ def save_cache(path: str, labels, paths, stamps, matrix: np.ndarray) -> None:
             yield row
 
     write_file(path, chunks())
-
-
-def load_record(path: str, fields: dict, result_names) -> dict | None:
-    """The results named by `result_names` of the record at `path`, or None
-    if there is none. A record that does not parse, lacks a field or holds
-    other `fields` than the caller's raises CacheFileError."""
-    try:
-        doc = read_json(path, CacheFileError)
-    except FileNotFoundError:
-        return None
-    missing = [name for name in (*fields, *result_names) if name not in doc]
-    if missing:
-        raise CacheFileError(f"{path}: record lacks {', '.join(missing)}")
-    differ = [name for name in fields if doc[name] != fields[name]]
-    if differ:
-        raise CacheFileError(f"{path}: record's {', '.join(differ)} differ from its key's")
-    return {name: doc[name] for name in result_names}
 
 
 def load_cache(path: str, expect_dim: int | None = None):

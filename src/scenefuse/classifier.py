@@ -38,7 +38,7 @@ K int64 class ids, K float64 biases and K x D float64 weights.
 the file holds those 8 K (D + 2) bytes before allocating any of them.
 
 Experiment result records reuse chosen C and accuracy across runs, so
-bump `cache.RECORD_VERSION` whenever this module's arithmetic changes.
+bump `experiment.RECORD_VERSION` whenever this module's arithmetic changes.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ def _check_training_inputs(X: np.ndarray, labels: np.ndarray, c: float):
         raise ValueError(f"bad shapes X{X.shape} labels{labels.shape}")
     if X.shape[0] < 2:
         raise TrainingDataError("need at least 2 samples")
+    if X.shape[1] == 0:
+        raise TrainingDataError("features have no dimensions")
     if not np.all(np.isfinite(X)):
         raise TrainingDataError("features contain non-finite values")
     if labels.min() == labels.max():

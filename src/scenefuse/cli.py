@@ -167,13 +167,12 @@ def _require_out(args) -> str:
 def _load_backends(args, sources):
     """Load only the weight bundles the given base-feature sources need."""
     from .pipeline import ORIGINS, Backend
-    from .weights import load_weights
 
     def build(kind: str, path: str, flag: str) -> Backend | None:
         if kind not in {ORIGINS[source][0] for source in sources}:
             return None
-        bundle = load_weights(_require_file(path, flag))
-        return Backend(kind=kind, spec=_spec_for_bundle(bundle), weights=bundle)
+        spec, bundle = _trunk(_require_file(path, flag))
+        return Backend(kind=kind, spec=spec, weights=bundle)
 
     object_backend = build("object", args.object_weights, "--object-weights")
     scene_backend = build("scene", args.scene_weights, "--scene-weights")
@@ -182,20 +181,26 @@ def _load_backends(args, sources):
     return object_backend, scene_backend
 
 
-def _spec_for_bundle(bundle):
-    """The trunk a bundle is checked against, picked by its conv count alone.
+def _trunk(path: str):
+    """The (trunk, bundle) of the weight file at `path`: the one check of a weight file.
 
-    The file format carries no layer sequence. Two convs give the stub trunk
-    of the synthetic helpers with the bundle's channel counts; any other
-    count gives the canonical vgg16 trunk. `validate_bundle` makes every
-    shape check, so a bundle that fits no trunk raises `BundleError`.
+    The format carries no layer sequence, so the conv count alone picks the
+    trunk: two convs give the stub trunk with the first conv's channel count,
+    any other count the canonical vgg16 trunk; both end in 512 channels. A
+    bundle that does not fit its trunk raises `BundleError` naming the file.
     """
-    from .engine import vgg16_spec
+    from .engine import BundleError, validate_bundle, vgg16_spec
     from .synthetic import stub_spec
+    from .weights import load_weights
 
-    if len(bundle.entries) == 2:
-        return stub_spec(*(e.kernel.shape[0] for e in bundle.entries))
-    return vgg16_spec()
+    bundle = load_weights(path)
+    entries = bundle.entries
+    spec = stub_spec(entries[0].kernel.shape[0]) if len(entries) == 2 else vgg16_spec()
+    try:
+        validate_bundle(spec, bundle)
+    except BundleError as exc:
+        raise BundleError(f"{path}: {exc}") from None
+    return spec, bundle
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +385,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate_weights(args) -> int:
-    from .engine import validate_bundle, vgg16_spec
-    from .weights import load_weights
+    from .engine import vgg16_spec
 
     for path in args.files:
         _require_file(path, "weight file")
     for path in args.files:
-        bundle = load_weights(path)
-        spec = _spec_for_bundle(bundle)
-        validate_bundle(spec, bundle)
+        spec, bundle = _trunk(path)
         total = sum(e.kernel.size + e.bias.size for e in bundle.entries)
         print(f"{path}: {len(bundle.entries)} conv entries, {total} parameters, "
               f"means {[round(float(m), 2) for m in bundle.means]} "

@@ -12,10 +12,12 @@ descriptor's ``HDFC`` cache, shared with ``extract``, is keyed by its trunk's
 digest, which folds in `EXTRACTION_VERSION` and the cache format's version; it
 is reused only while every image keeps the path, label and `stamp` of its record.
 Each (configuration, repetition) leaves a result record, keyed by a sha256
-over `cache.RECORD_VERSION`, the configuration name, folds, tuning seed, C
-grid, the solver's tolerance and iteration cap, and the train rows, then
-the test rows, with their labels. A later run whose inputs hash the same
-reuses the record instead of tuning, training and evaluating again.
+over `RECORD_VERSION`, the configuration name, folds, tuning seed, C grid,
+the solver's tolerance and iteration cap, and the train rows, then the test
+rows, with their labels. It is a JSON object of the key's plain fields, chosen
+C and accuracy, written and checked here alone. A later run whose inputs hash
+the same reuses it instead of tuning, training and evaluating again; a record
+that does not fit its key raises CacheFileError naming it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binfile import write_json
-from .cache import (FORMAT_VERSION, RECORD_VERSION, CacheFileError, load_cache, load_record,
-                    save_cache)
+from .binfile import read_json, write_json
+from .cache import FORMAT_VERSION, CacheFileError, load_cache, save_cache
 from .classifier import (C_GRID, DEFAULT_TOL, MAX_ITER, GridSearchReport, evaluate,
                          grid_search_c, train_ovr)
 from .datasets import DatasetError, DatasetManifest, SplitPlan, SplitProtocol, make_split
@@ -43,6 +44,8 @@ logger = logging.getLogger(__name__)
 _TUNE_STREAM = 0x7A11
 # Bump whenever extraction (engine, resize, slicing, pipeline) would give other features.
 EXTRACTION_VERSION = 1
+# Bump whenever tuning, training or evaluation would give another result.
+RECORD_VERSION = 1
 FEATURE_TYPES = (*SOURCES, "hdf")
 
 
@@ -275,13 +278,14 @@ def _result(cache_dir, config, folds, seed, c_values, X, labels, train_idx, test
             h.update(np.ascontiguousarray(X[idx], dtype="<f4"))
             h.update(np.ascontiguousarray(labels[idx], dtype="<i8"))
         path = os.path.join(cache_dir, f"result_{h.hexdigest()[:32]}.json")
-        record = load_record(path, fields, ("chosen_c", "accuracy"))
-        if record is not None:
-            chosen_c, accuracy = record["chosen_c"], record["accuracy"]
-            if (type(chosen_c) is not int or chosen_c not in fields["c_values"]
+        if os.path.isfile(path):  # else no record yet
+            record = read_json(path, CacheFileError)
+            chosen_c, accuracy = record.get("chosen_c"), record.get("accuracy")
+            if (any(record.get(name) != value for name, value in fields.items())
+                    or type(chosen_c) is not int or chosen_c not in fields["c_values"]
                     or type(accuracy) is not float or not 0.0 <= accuracy <= 1.0):
-                raise CacheFileError(f"{path}: result record holds chosen C {chosen_c!r} "
-                                     f"and accuracy {accuracy!r}")
+                raise CacheFileError(f"{path}: result record does not match its key, or holds "
+                                     f"chosen C {chosen_c!r} and accuracy {accuracy!r}")
             logger.info("reused result record %s", path)
             return chosen_c, accuracy, True
     chosen_c = tune_cost(X, labels, train_idx, folds, seed, c_values).chosen_c

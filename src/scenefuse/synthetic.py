@@ -15,18 +15,18 @@ import numpy as np
 from .datasets import DatasetManifest, scan_dataset
 from .engine import POOL
 from .imageio import write_ppm
-from .pipeline import Backend
+from .pipeline import FEATURE_DIM, Backend
 from .weights import random_bundle
 
 
-def stub_spec(mid_channels: int = 8, out_channels: int = 512) -> tuple:
-    """A 2-conv trunk that still maps 3x224x224 to (out_channels)x7x7, as the
-    layer list (mid_channels, POOL, POOL, POOL, POOL, out_channels, POOL).
+def stub_spec(mid_channels: int = 8) -> tuple:
+    """A 2-conv trunk that still maps 3x224x224 to 512x7x7, as the layer
+    list (mid_channels, POOL, POOL, POOL, POOL, 512, POOL).
 
     The second conv runs after four poolings (14x14 maps), so forwards stay
     cheap even with the standard 512 output channels.
     """
-    return (mid_channels, POOL, POOL, POOL, POOL, out_channels, POOL)
+    return (mid_channels, POOL, POOL, POOL, POOL, FEATURE_DIM, POOL)
 
 
 def stub_backend_pair(seed: int = 0) -> tuple[Backend, Backend]:

@@ -658,6 +658,26 @@ class TestOptionSurface:
         assert documented == parsed
 
 
+@pytest.fixture(scope="module")
+def vgg16_weights(tmp_path_factory):
+    from scenefuse.engine import vgg16_spec
+    from scenefuse.weights import random_bundle
+
+    path = tmp_path_factory.mktemp("vgg16") / "vgg.hdfw"
+    save_weights(random_bundle(vgg16_spec(), seed=0), str(path))
+    return str(path)
+
+
+def narrow_stub_bundle(tmp_path):
+    """Two convs, the stub trunk's count, whose last ends in 256 channels, not 512."""
+    from scenefuse.engine import POOL
+    from scenefuse.weights import random_bundle
+
+    path = tmp_path / "narrow.hdfw"
+    save_weights(random_bundle((8, POOL, POOL, POOL, POOL, 256, POOL), seed=0), str(path))
+    return path
+
+
 def three_conv_bundle(tmp_path):
     """A weight file of three convs: a count no trunk but vgg16's can take."""
     from scenefuse.weights import random_bundle
@@ -676,13 +696,8 @@ class TestValidateWeights:
         assert cli.main(["validate-weights", str(three_conv_bundle(tmp_path))]) == cli.EXIT_DATA
         assert "spec needs 13" in capsys.readouterr().err
 
-    def test_canonical_bundle_passes(self, tmp_path, capsys):
-        from scenefuse.engine import vgg16_spec
-        from scenefuse.weights import random_bundle
-
-        path = tmp_path / "vgg.hdfw"
-        save_weights(random_bundle(vgg16_spec(), seed=0), str(path))
-        assert cli.main(["validate-weights", str(path)]) == 0
+    def test_canonical_bundle_passes(self, vgg16_weights, capsys):
+        assert cli.main(["validate-weights", vgg16_weights]) == 0
         assert "(vgg16 trunk)" in capsys.readouterr().out
 
     def test_corrupted_magic_is_data_error(self, weight_files, tmp_path):
@@ -704,15 +719,12 @@ class TestTrunkRecognition:
         return cli.main(["extract", "--dataset", str(root), "--feature-type", "ow",
                          "--object-weights", str(weights_path), "--out", str(out)])
 
-    def test_vgg16_bundle_resolves_to_vgg16(self, tmp_path):
+    def test_vgg16_bundle_resolves_to_vgg16(self, vgg16_weights):
         import argparse
 
         from scenefuse.engine import vgg16_spec
-        from scenefuse.weights import random_bundle
 
-        path = tmp_path / "vgg.hdfw"
-        save_weights(random_bundle(vgg16_spec(), seed=0), str(path))
-        args = argparse.Namespace(object_weights=str(path), scene_weights=None)
+        args = argparse.Namespace(object_weights=vgg16_weights, scene_weights=None)
         obj, scn = cli._load_backends(args, ("ow",))
         assert obj.spec == vgg16_spec() and scn is None
 
@@ -730,6 +742,49 @@ class TestTrunkRecognition:
         path = three_conv_bundle(tmp_path)
         assert self.extract(tiny_dataset, path, tmp_path / "o") == cli.EXIT_DATA
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate-weights", "extract", "experiment"])
+    def test_stub_bundle_must_end_in_512_channels(self, command, tiny_dataset, weight_files,
+                                                  tmp_path, capsys, monkeypatch):
+        # every command checks a weight file the same way, before any image is read
+        from scenefuse import experiment
+
+        reads = []
+        monkeypatch.setattr(experiment, "read_raster", reads.append)
+        path, out = narrow_stub_bundle(tmp_path), tmp_path / "o"
+        if command == "validate-weights":
+            args = [command, str(path)]
+        elif command == "extract":
+            args = [command, "--dataset", str(tiny_dataset[0]), "--object-weights", str(path),
+                    "--scene-weights", weight_files[1], "--out", str(out)]
+        else:
+            args = experiment_args(tiny_dataset, (str(path), weight_files[1]), out)
+        assert cli.main(args) == cli.EXIT_DATA
+        assert f"data error: {path}: entry 1 " in capsys.readouterr().err
+        assert reads == [] and not out.exists()
+
+    def test_bad_scene_bundle_names_its_file(self, tiny_dataset, weight_files, tmp_path,
+                                             capsys):
+        path, out = three_conv_bundle(tmp_path), tmp_path / "o"
+        rc = cli.main(["extract", "--dataset", str(tiny_dataset[0]), "--object-weights",
+                       weight_files[0], "--scene-weights", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert f"data error: {path}: bundle has 3 conv entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trunks_of_different_shapes_are_config_error(self, tiny_dataset, weight_files,
+                                                         vgg16_weights, tmp_path, capsys,
+                                                         monkeypatch):
+        from scenefuse import experiment
+
+        reads = []
+        monkeypatch.setattr(experiment, "read_raster", reads.append)
+        out = tmp_path / "o"
+        rc = cli.main(["extract", "--dataset", str(tiny_dataset[0]), "--object-weights",
+                       weight_files[0], "--scene-weights", vgg16_weights, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "different shapes" in capsys.readouterr().err
+        assert reads == [] and not out.exists()
 
     def test_out_of_range_means_is_data_error(self, tiny_dataset, tmp_path):
         from scenefuse.synthetic import stub_spec
@@ -928,6 +983,17 @@ class TestExtractFailures:
                        "--folds", "2"])
         assert rc == cli.EXIT_DATA
         assert "data error: need at least 2 classes" in capsys.readouterr().err
+
+    def test_zero_dimension_cache_is_data_error(self, tmp_path, capsys):
+        from scenefuse.cache import save_cache
+
+        features, out = tmp_path / "empty.hdfc", tmp_path / "m"
+        save_cache(str(features), [0, 1] * 3, [f"a/{i}.ppm" for i in range(6)], [(9, 0)] * 6,
+                   np.empty((6, 0), np.float32))
+        rc = cli.main(["train", "--features", str(features), "--out", str(out), "--folds", "2"])
+        assert rc == cli.EXIT_DATA
+        assert "data error: features have no dimensions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_split_file_not_json_is_data_error(self, tiny_dataset, weight_files, tmp_path):
         split = tmp_path / "split.json"

@@ -572,7 +572,7 @@ class TestResultRecords:
             self, tiny_dataset, stub_pair, small_protocol, tmp_path, monkeypatch):
         _, manifest = tiny_dataset
         monkeypatch.chdir(tmp_path)
-        for name in ("load_record", "save_cache", "write_json"):
+        for name in ("read_json", "save_cache", "write_json"):
             monkeypatch.setattr(experiment, name, None)
         report = self.ablation(manifest, stub_pair, small_protocol, None,
                                configs=(FeatureConfig("ow"),))
