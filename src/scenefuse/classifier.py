@@ -121,15 +121,13 @@ def gradient(w, b, X: np.ndarray, y: np.ndarray, c):
 
 
 def train_stack(X: np.ndarray, y: np.ndarray, c, w: np.ndarray, b: np.ndarray,
-                tol: float = DEFAULT_TOL, max_cg: int | None = None,
-                history: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                tol: float = DEFAULT_TOL,
+                max_cg: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fit a stack of binary problems on shared rows from (w, b); returns new (w, b).
 
     Arrays are as in `objective`: X (N, D), labels y (..., N), costs c,
     start w (..., D) and b (...). `max_cg` caps the CG iterations per Newton
-    step (default min(D + 1, 250)). If `history` is a list, the objective
-    values (...) are appended at the start and after each iteration that
-    accepted a step.
+    step (default min(D + 1, 250)).
     """
     w = np.array(w, dtype=np.float64)
     b = np.array(b, dtype=np.float64)
@@ -139,8 +137,6 @@ def train_stack(X: np.ndarray, y: np.ndarray, c, w: np.ndarray, b: np.ndarray,
     gnorm0 = np.sqrt(_dot(grad_w, grad_w) + grad_b * grad_b)
     threshold = tol * np.maximum(1.0, gnorm0)
     fval = objective(w, b, X, y, c)
-    if history is not None:
-        history.append(fval.copy())
 
     active = np.ones(b.shape, dtype=bool)  # neither converged nor stalled
     for _ in range(MAX_ITER):
@@ -174,8 +170,6 @@ def train_stack(X: np.ndarray, y: np.ndarray, c, w: np.ndarray, b: np.ndarray,
         w = np.where(active[..., None], w + alpha[..., None] * step_w, w)
         b = np.where(active, b + alpha * step_b, b)
         fval = np.where(active, trial_f, fval)
-        if history is not None and active.any():
-            history.append(fval.copy())
         grad_w, grad_b, margins = gradient(w, b, X, y, c)
     return w, b
 

@@ -241,8 +241,8 @@ def cmd_slice(args) -> int:
 def cmd_extract(args) -> int:
     from .cache import save_cache
     from .datasets import DatasetError, DatasetManifest, scan_dataset
-    from .experiment import (FeatureConfig, compute_base_features, config_matrix, stamp,
-                             unreadable)
+    from .experiment import (FeatureConfig, UnreadableError, compute_base_features,
+                             config_matrix, stamp)
 
     if not args.dataset:
         raise CliConfigError("missing --dataset root")
@@ -251,27 +251,28 @@ def cmd_extract(args) -> int:
     if feature_type != "hdf" and args.pool:
         raise CliConfigError(f"--pool applies only to --feature-type hdf, not {feature_type}")
     config = FeatureConfig(feature_type, (args.pool or "concat") if feature_type == "hdf" else None)
-    object_backend, scene_backend = _load_backends(args, config.sources)
+    backends = _load_backends(args, config.sources)
     manifest = scan_dataset(args.dataset)
-
-    # an unreadable file is reported before the first forward; the rest are written
-    failed = unreadable(manifest.flat_paths_labels()[0])
-    if failed:
+    stamps = {path: stamp(path) for path in manifest.flat_paths_labels()[0]}  # before extraction
+    cache_dir = os.path.join(out_dir, "cache")
+    try:
+        base, labels, paths = compute_base_features(manifest, *backends, cache_dir, config.sources)
+        failed = {}
+    except UnreadableError as exc:  # raised before the first forward; the rest are written
+        failed = exc.failed
         print(*(f"error: {message}" for message in failed.values()),
               f"{len(failed)} files failed", sep="\n", file=sys.stderr)
-    if len(failed) == manifest.total_images:
-        raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
-    # a class left empty keeps its place, so every label id stays the same
-    readable = DatasetManifest(manifest.name, tuple(
-        (name, tuple(path for path in paths if path not in failed))
-        for name, paths in manifest.classes))
-    stamps = [stamp(path) for path in readable.flat_paths_labels()[0]]  # before extraction
-    base, labels, paths = compute_base_features(
-        readable, object_backend, scene_backend, os.path.join(out_dir, "cache"), config.sources)
+        if len(failed) == manifest.total_images:
+            raise DatasetError(f"{args.dataset}: no image produced features; nothing to write")
+        # a class left empty keeps its place, so every label id stays the same
+        readable = DatasetManifest(manifest.name, tuple(
+            (name, tuple(path for path in paths if path not in failed))
+            for name, paths in manifest.classes))
+        base, labels, paths = compute_base_features(readable, *backends, cache_dir, config.sources)
     matrix = config_matrix(base, config)
 
     cache_path = os.path.join(out_dir, f"{manifest.name}_{config.name.lower()}.hdfc")
-    save_cache(cache_path, labels, paths, stamps, matrix)
+    save_cache(cache_path, labels, paths, [stamps[path] for path in paths], matrix)
     print(f"wrote {len(paths)} records (dim {config.dim}) to {cache_path}")
     return EXIT_DATA if failed else EXIT_OK
 

@@ -142,8 +142,8 @@ def backend_digest(backend: Backend) -> str:
 
 def stamp(path: str) -> tuple[int, int] | None:
     """An image's (size, mtime_ns), stored with its features, or None if it
-    cannot be stat'ed. A None stamp misses the cache, and `unreadable` then
-    names that image with every other one that cannot be read."""
+    cannot be stat'ed. A None stamp misses the cache, and `extract_dataset`
+    then names that image with every other one that cannot be read."""
     try:
         st = os.stat(path)
     except OSError:
@@ -151,9 +151,24 @@ def stamp(path: str) -> tuple[int, int] | None:
     return st.st_size, st.st_mtime_ns
 
 
-def unreadable(paths) -> dict[str, str]:
-    """Maps each image of `paths` that `read_raster` rejects (NetpbmError,
-    OSError) to a message naming it, in `paths` order, holding one file's bytes at a time."""
+class UnreadableError(DatasetError):
+    """Images that `read_raster` rejects; `failed` maps each to a message naming it."""
+
+    def __init__(self, failed: dict[str, str], total: int):
+        super().__init__(f"{len(failed)} of {total} images could not be read: "
+                         + "; ".join(failed.values()))
+        self.failed = failed
+
+
+def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backend | None,
+                    sources=SOURCES):
+    """The one reader of a dataset's images: checks them all, then extracts.
+
+    It first reads every image, one file's bytes at a time, and raises
+    UnreadableError naming each that `read_raster` rejects, in `paths` order,
+    before any forward. The returned matrices map each source to a float32
+    (N, 512) array, one row per image, in the order of `paths`.
+    """
     failed = {}
     for path in paths:
         try:
@@ -161,17 +176,8 @@ def unreadable(paths) -> dict[str, str]:
         except (NetpbmError, OSError) as exc:
             message = str(exc)  # the reader's errors name the file already
             failed[path] = message if path in message else f"{path}: {message}"
-    return failed
-
-
-def extract_dataset(paths, object_backend: Backend | None, scene_backend: Backend | None,
-                    sources=SOURCES):
-    """The one loop over a dataset's images; returns the matrices.
-
-    They map each source to a float32 (N, 512) array, one row per image, in
-    the order of `paths`. An image that cannot be read raises from
-    `read_raster`, so callers check `paths` with `unreadable` first.
-    """
+    if failed:
+        raise UnreadableError(failed, len(paths))
     mats = {s: np.empty((len(paths), FEATURE_DIM), dtype=np.float32) for s in sources}
     for row, path in enumerate(paths):
         base = extract_base_features(object_backend, scene_backend, read_raster(path), sources)
@@ -194,12 +200,11 @@ def compute_base_features(
     none of whose sources is requested may be None. When `cache_dir` is
     given, each source's cache is keyed by its own backend's digest and
     reused while it lists the manifest's paths, labels and stamps; only the
-    other sources are extracted, and written back. Before that, images that
-    cannot be read raise one DatasetError naming them all, writing nothing.
+    other sources are extracted, by `extract_dataset`, and written back.
     """
     paths, labels = manifest.flat_paths_labels()
     sources = [s for s in SOURCES if s in sources]
-    mats, cache_paths = {}, {}
+    mats, cache_paths, changed = {}, {}, []
     if cache_dir:
         owners = source_backends(object_backend, scene_backend, sources)
         needed = {b.kind: b for b in owners.values()}  # by kind: a Backend is no dict key
@@ -217,19 +222,16 @@ def compute_base_features(
             if cached == listed:
                 mats[source] = mat
             else:
-                changed = next((image for image, a, b in zip(paths, cached, listed) if a != b),
-                               "the image list")
-                logger.info("%s changed since %s was written; re-extracting", changed, path)
+                changed.append((next((image for image, a, b in zip(paths, cached, listed)
+                                      if a != b), "the image list"), path))
         if mats:
             logger.info("loaded cached base features: %s", ", ".join(map(cache_paths.get, mats)))
 
     missing = [source for source in sources if source not in mats]
     if missing:
-        failed = unreadable(paths)
-        if failed:
-            raise DatasetError(f"{len(failed)} of {len(paths)} images could not be read: "
-                               + "; ".join(failed.values()))
         mats.update(extract_dataset(paths, object_backend, scene_backend, missing))
+        for image, path in changed:  # after extraction: an unreadable image extracts nothing
+            logger.info("%s changed since %s was written; re-extracting", image, path)
         if cache_dir and None not in stamps:  # an image that could not be stat'ed is not cached
             os.makedirs(cache_dir, exist_ok=True)
             for source in missing:

@@ -114,14 +114,17 @@ class TestBinarySolver:
         brute = logreg_brute_force(X, y, c, dim=2, seed=0)
         assert abs(ours - brute) <= 1e-3
 
-    def test_objective_monotone_over_iterations(self, rng):
+    def test_objective_monotone_over_iterations(self, rng, monkeypatch):
         X, y = blobs(rng, k=2, noise=2.0)
         y = np.where(y == 0, 1.0, -1.0)
-        history = []
-        fit(X, y, 5.0, history=history)
-        assert len(history) >= 2
-        assert all(later <= earlier + 1e-12
-                   for earlier, later in zip(history, history[1:]))
+        values = []
+        for cap in range(50):  # a fit from zero capped at `cap` iterations ends at iterate `cap`
+            monkeypatch.setattr(classifier, "MAX_ITER", cap)
+            values.append(objective(*fit(X, y, 5.0), X, y, 5.0))
+            if cap and values[-1] == values[-2]:  # converged: no step was accepted
+                break
+        assert len(values) >= 3 and values[-1] == values[-2]
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
 
     def test_regularization_path_shrinks_weights(self, rng):
         X, y = blobs(rng, k=2, noise=1.5)

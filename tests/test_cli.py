@@ -212,6 +212,50 @@ class TestExtract:
         name = f"{manifest.name}_hdf-concat.hdfc"
         assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
+    def test_each_image_is_read_once_to_check_and_once_to_extract(
+            self, weight_files, tmp_path, capsys, monkeypatch):
+        from scenefuse import experiment
+        from scenefuse.imageio import NetpbmError
+        from scenefuse.synthetic import make_synthetic_dataset
+
+        reads = Counter()
+        original = experiment.read_raster
+
+        def counting(path):
+            reads[path] += 1
+            return original(path)
+
+        monkeypatch.setattr(experiment, "read_raster", counting)
+
+        def extract(root, out):
+            reads.clear()
+            rc = cli.main(["extract", "--dataset", str(root), "--object-weights",
+                           weight_files[0], "--scene-weights", weight_files[1],
+                           "--out", str(out)])
+            return rc, capsys.readouterr().err
+
+        clean = make_synthetic_dataset(str(tmp_path / "clean"), classes=3, per_class=7,
+                                       size=(24, 24), seed=2)
+        assert extract(tmp_path / "clean", tmp_path / "a")[0] == cli.EXIT_OK
+        assert sorted(reads.values()) == [2] * 21  # cold: 42 reads
+        assert extract(tmp_path / "clean", tmp_path / "a")[0] == cli.EXIT_OK
+        assert sum(reads.values()) == 0  # every cache is current
+
+        victim = clean.flat_paths_labels()[0][4]
+        with open(victim, "r+b") as fh:
+            fh.truncate(20)  # the header and a few bytes of the raster
+        with pytest.raises(NetpbmError) as reason:
+            original(victim)
+        expected = [f"error: {reason.value}", "1 files failed"]
+        for run in ("cold", "warm"):
+            rc, err = extract(tmp_path / "clean", tmp_path / "b")
+            assert rc == cli.EXIT_DATA, run
+            assert [line for line in err.splitlines()
+                    if line.startswith("error: ") or "files failed" in line] == expected, run
+            assert "changed since" not in err, run  # no re-extraction is promised
+            assert max(reads.values()) <= 3 and reads[victim] == 1, run
+        assert sum(reads.values()) == 21  # warm: the check alone
+
 
 @pytest.fixture(scope="module")
 def cache_path(tiny_dataset, weight_files, tmp_path_factory):

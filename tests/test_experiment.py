@@ -16,8 +16,8 @@ from scenefuse.cache import CacheFileError
 from scenefuse.datasets import (REPEATED_RANDOM, DatasetError, DatasetManifest, SplitProtocol,
                                  make_split, scan_dataset)
 from scenefuse.experiment import (
-    FeatureConfig, backend_digest, compute_base_features, config_matrix, default_configs,
-    format_table, run_experiment, tune_cost, unreadable,
+    FeatureConfig, UnreadableError, backend_digest, compute_base_features, config_matrix,
+    default_configs, extract_dataset, format_table, run_experiment, tune_cost,
 )
 from scenefuse.pipeline import SOURCES
 from scenefuse.synthetic import make_synthetic_dataset, stub_backend_pair
@@ -252,17 +252,19 @@ class TestBaseFeatures:
             assert mat.shape == (1, 512) and mat.dtype == np.float32
         assert list(labels) == [0] and paths == [class_paths[0]]
 
-    def test_unreadable_names_each_bad_image(self, tiny_dataset, tmp_path):
+    def test_unreadable_names_each_bad_image(self, tiny_dataset, stub_pair, tmp_path):
         _, manifest = tiny_dataset
         good, _ = manifest.flat_paths_labels()
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\nshort")
         missing = str(tmp_path / "missing.ppm")
-        failed = unreadable([good[0], str(bad), good[5], missing, good[9]])
-        assert list(failed) == [str(bad), missing]
-        for path, message in failed.items():
+        with pytest.raises(UnreadableError, match="2 of 5 images") as err:
+            extract_dataset([good[0], str(bad), good[5], missing, good[9]], *stub_pair)
+        assert list(err.value.failed) == [str(bad), missing]
+        for path, message in err.value.failed.items():
             assert message.count(path) == 1
-        assert unreadable(good) == {}
+        mats = extract_dataset(good, *stub_pair)
+        assert all(mat.shape == (len(good), 512) for mat in mats.values())
 
     def test_an_unreadable_image_stops_the_run_before_any_forward(self, stub_pair, tmp_path,
                                                                    monkeypatch):
