@@ -7,8 +7,8 @@ fusion, and a grid-searched one-vs-rest L2 logistic-regression classifier
 with benchmark-style dataset split protocols.
 
 Import the submodules by name (``from scenefuse import engine``). This
-package imports none of them, so ``scenefuse.cli`` can pin BLAS thread
-pools before numpy loads.
+package imports none of them, so ``scenefuse.cli`` can pin the BLAS
+thread pools to one thread before numpy loads.
 """
 
 __version__ = "0.1.0"

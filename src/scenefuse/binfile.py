@@ -7,7 +7,7 @@ which parses Netpbm images, read files themselves.
 checked against the bytes left before anything is allocated, so a
 corrupted length never sizes an allocation, and arrays are read into their
 final buffer. numpy loads only in `f32s`, so that the command line can read
-its config file before ``--threads`` pins the BLAS pools.
+its config file before it pins the BLAS pools.
 """
 
 from __future__ import annotations

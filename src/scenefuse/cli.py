@@ -8,16 +8,15 @@ internal error (any exception but the typed errors that name bad input and
 any write.
 
 Each command takes only the options its handler reads, ``--threads`` only
-where BLAS runs and ``--config`` where there is an option to set;
+where a convolution runs and ``--config`` where there is an option to set;
 `_OPTIONS` states each option's type, choices, bound and default once. A
 flat JSON config file may set any option of its command by dest name, as
 a JSON value of the option's type within its choices and bound; flags
 take precedence over it, and it over the defaults.
 
-Heavy imports happen inside the command handlers so that ``--threads N``
-can pin the BLAS thread-pool environment variables before numpy loads;
-``--threads 1`` in a fresh process is the bit-deterministic reference
-path.
+Heavy imports happen inside the command handlers, so every command pins the
+BLAS pools to one thread before numpy loads; ``--threads N`` runs each
+convolution on N threads, with the same output bits for every N.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _data_errors() -> tuple[type[Exception], ...]:
@@ -76,7 +74,7 @@ def _at_least(low: int):
 # every option of every command: the keywords of its add_argument call
 _OPTIONS = {
     "--config": {"help": "flat JSON config file; flags override it"},
-    "--threads": {"type": _at_least(1), "help": "pin BLAS thread pools to N (1 = reference)"},
+    "--threads": {"type": _at_least(1), "help": "conv worker threads (default: usable CPUs)"},
     "--out": {"help": "output directory"},
     "image": {"help": "input PPM/PGM image"},
     "--fill": {"default": "0,0,0",
@@ -422,9 +420,9 @@ _COMMANDS = {
                 ("--dataset", "--object-weights", "--scene-weights", "--feature-type",
                  "--pool", "--out", "--config", "--threads")),
     "train": (cmd_train, "grid-search C and train a one-vs-rest model",
-              ("--features", "--folds", "--seed", "--out", "--config", "--threads")),
+              ("--features", "--folds", "--seed", "--out", "--config")),
     "eval": (cmd_eval, "evaluate a model on an HDFC feature cache",
-             ("--model", "--features", "--out", "--config", "--threads")),
+             ("--model", "--features", "--out", "--config")),
     "experiment": (cmd_experiment, "full ablation: tune, train, evaluate per split",
                    ("--dataset", "--protocol", "--train-per-class", "--test-per-class",
                     "--repetitions", "--split-file", "--folds", "--object-weights",
@@ -433,7 +431,7 @@ _COMMANDS = {
     "validate-weights": (cmd_validate_weights, "check HDFW files load and fit their trunk",
                          ("files",)),
     "bench": (cmd_bench, "time optimized conv2d (im2col + sgemm over blocks of output rows, "
-              "~4 MiB of columns each) against the direct reference at VGG16's conv2 shape "
+              "~4 MiB of columns in all) against the direct reference at VGG16's conv2 shape "
               "(64 to 64 channels, 224x224), and one rect/circ pair and one tri slice "
               "through the delta forwards against full VGG16 forwards",
               ("--repeats", "--seed", "--config", "--threads")),
@@ -455,9 +453,11 @@ def main(argv=None) -> int:
             command = commands(parser)[args.command]
             command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))  # before numpy loads
         if getattr(args, "threads", None) is not None:
-            for var in _THREAD_VARS:
-                os.environ[var] = str(args.threads)
+            from .engine import set_workers
+
+            set_workers(args.threads)
         return args.handler(args)
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

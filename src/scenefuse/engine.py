@@ -5,7 +5,7 @@ pooling layer, which is where the feature pipeline reads activations. A
 trunk is its layer list in VGG's own layout: each 3x3 convolution (stride
 1, pad 1, followed by a ReLU) is its output channel count, each 2x2 max
 pooling is `POOL`, and the input is the 3-channel image, so every conv's
-input count is the previous conv's output. Three design rules hold
+input count is the previous conv's output. Four design rules hold
 throughout:
 
 * activations are channel-major float32 arrays of shape (C, H, W);
@@ -16,7 +16,9 @@ throughout:
   convolution with its output loops vectorised by numpy, one multiply-add
   per input tap. It is also the baseline of `benchmark_conv2d`, which
   ``scenefuse bench`` runs at one fixed shape, VGG16's conv2 (64 to 64
-  channels at 224x224).
+  channels at 224x224);
+* a regular conv runs its row blocks on `set_workers` threads that share
+  `_BLOCK_BYTES`, with the same bits for any count (see delta forwards below).
 
 Delta forwards (`forward_pair_to_pool5`, `forward_delta_to_pool5`) compute an
 image only where it can differ from a reference forward. They are bit-identical
@@ -29,19 +31,31 @@ The engine knows nothing about files; weight storage lives in
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 
-# bytes of im2col columns per block of output rows in `conv2d`: about one L2 cache
+# im2col bytes per block of output rows in `conv2d`, over all its workers: about one L2
 _BLOCK_BYTES = 4 << 20
 # output rows per block of a delta conv: few, so its column span hugs the changed set
 _DELTA_ROWS = 4
 # M*N*K at or below which OpenBLAS sgemm takes its small-matrix kernels
 _SMALL_GEMM = 1_000_000
-# multiply-adds per conv output, 9 * C_in, below which patches cost more than
-# they skip: 27 for VGG16's first conv, 27 and 72 for the stub trunks' convs
+# multiply-adds per conv output, 9 * C_in, below which a conv runs whole on one
+# thread: 27 for VGG16's first conv, 27 and 72 for the stub trunks' convs
 _DELTA_MIN_MADDS = 128
+# threads for a regular conv's row blocks, the caller's included, and the others' pool
+_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_pool = None
+
+
+def set_workers(n: int) -> None:
+    """Run each regular conv's row blocks on `n` threads, the caller's included."""
+    global _workers, _pool
+    if n < 1:
+        raise ValueError(f"worker count must be at least 1, got {n}")
+    _workers, _pool = n, None
 
 
 def _as_f32(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -61,12 +75,12 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out[o, y, x] = bias[o] + sum_{c,dy,dx} in[c, y+dy-1, x+dx-1] * kernel[o, c, dy, dx]
 
     with out-of-range input treated as zero. Implemented as im2col plus a
-    float32 matrix multiply per block of output rows, whose columns fill at
-    most `_BLOCK_BYTES` (or one row) of a buffer reused from block to block,
-    so no whole-layer column matrix is built. Zero padding is per block too:
-    each block copies the input rows it reads into a small zero-bordered
-    band, so no padded copy of the whole input is made. Accumulation stays
-    in float32.
+    float32 matrix multiply per block of output rows. The workers' buffers,
+    reused from block to block, hold `_BLOCK_BYTES` of columns in all (or a
+    row each), so no whole-layer column matrix is built. Zero padding is per
+    block too: each block copies the input rows it reads into a small
+    zero-bordered band, so no padded copy of the whole input is made.
+    Accumulation stays in float32.
 
     Args:
         x: input activations, shape (C_in, H, W).
@@ -89,37 +103,53 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    rows = max(1, min(h, _BLOCK_BYTES // max(1, c_in * 9 * w * 4)))
+    workers = _workers if 9 * c_in >= _DELTA_MIN_MADDS else 1
+    rows = max(1, min(h, _BLOCK_BYTES // workers // max(1, c_in * 9 * w * 4)))
     out = np.empty((c_out, h * w), dtype=np.float32)
     blocks = [(r0, min(rows, h - r0), 0, w) for r0 in range(0, h, rows)]
-    _conv_blocks(x, kernel, bias, blocks, rows, [out[:, r0 * w : (r0 + n) * w]
-                                                 for r0, n, _, _ in blocks])
+    _conv_blocks(x, kernel, bias, blocks, [out[:, r0 * w : (r0 + n) * w]
+                                           for r0, n, _, _ in blocks], workers)
     return out.reshape(c_out, h, w)
 
 
-def _conv_blocks(x, kernel, bias, blocks, rows, targets) -> None:
-    """`conv2d`'s output over each (top, rows, left, columns) block, top to bottom
-    and at most `rows` rows, into its (C_out, rows * columns) target. The bias is
-    added to each block right after its sgemm, the one place any conv adds it."""
+def _conv_blocks(x, kernel, bias, blocks, targets, workers) -> None:
+    """`conv2d`'s output over each (top, rows, left, columns) block into its (C_out,
+    rows * columns) target; worker i runs blocks i, i + workers, ..., the caller
+    worker 0. The bias is added right after each sgemm, the one place any conv adds it."""
+    global _pool
     c_in, h, w = x.shape
-    c_out, k = kernel.shape[0], 9 * c_in
-    flat = kernel.reshape(c_out, k)
-    buf = np.empty(k * rows * w, dtype=np.float32)
-    # a block's input rows r0-1 .. r0+n, zero-bordered: the border columns
-    # are never written, and row 0 is still zero when the first block reads it
-    band = np.zeros((c_in, rows + 2, w + 2), dtype=np.float32)
-    for (r0, n, c0, span), target in zip(blocks, targets):
-        lo, hi = max(r0 - 1, 0), min(r0 + n + 1, h)
-        left, right = max(c0 - 1, 0), min(c0 + span + 1, w)
-        band[:, lo - r0 + 1 : hi - r0 + 1, left + 1 : right + 1] = x[:, lo:hi, left:right]
-        if r0 + n == h:
-            band[:, n + 1] = 0.0  # the pad row below the last input row
-        cols = buf[: k * n * span].reshape(c_in, 3, 3, n, span)
-        for dy in range(3):
-            for dx in range(3):
-                cols[:, dy, dx] = band[:, dy : dy + n, c0 + dx : c0 + dx + span]
-        np.matmul(flat, cols.reshape(k, n * span), out=target)
-        target += bias[:, None]
+    k, flat = 9 * c_in, kernel.reshape(len(kernel), 9 * c_in)
+
+    def run(pairs, buf, band):
+        # a block's input rows r0-1 .. r0+n, zero-bordered: the border columns are
+        # never written, and row 0 is still zero when the block at r0 = 0 reads it
+        for (r0, n, c0, span), target in pairs:
+            lo, hi = max(r0 - 1, 0), min(r0 + n + 1, h)
+            left, right = max(c0 - 1, 0), min(c0 + span + 1, w)
+            band[:, lo - r0 + 1 : hi - r0 + 1, left + 1 : right + 1] = x[:, lo:hi, left:right]
+            if r0 + n == h:
+                band[:, n + 1] = 0.0  # the pad row below the last input row
+            cols = buf[: k * n * span].reshape(c_in, 3, 3, n, span)
+            for dy in range(3):
+                for dx in range(3):
+                    cols[:, dy, dx] = band[:, dy : dy + n, c0 + dx : c0 + dx + span]
+            np.matmul(flat, cols.reshape(k, n * span), out=target)
+            target += bias[:, None]
+
+    rows = max((n for _, n, _, _ in blocks), default=0)
+    size = max((k * n * span for _, n, _, span in blocks), default=0)
+    # every worker's columns and band are allocated here, on the caller's heap
+    jobs = [(zip(blocks[i::workers], targets[i::workers]), np.empty(size, np.float32),
+             np.zeros((c_in, rows + 2, w + 2), np.float32))
+            for i in range(min(workers, len(blocks)) or 1)]
+    if len(jobs) > 1 and _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="scenefuse-conv")
+    pending = [_pool.submit(run, *job) for job in jobs[1:]]
+    run(*jobs[0])
+    for future in pending:
+        future.result()
 
 
 def conv2d_naive(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -321,7 +351,7 @@ def _conv_patches(x: np.ndarray, entry, changed: np.ndarray) -> list:
     sizes = np.cumsum([0] + [c_out * n * span for _, n, _, span in spans])
     store = np.empty(sizes[-1], dtype=np.float32)  # the patches, one after another
     values = [store[a:b].reshape(c_out, -1) for a, b in zip(sizes, sizes[1:])]
-    _conv_blocks(x, entry.kernel, entry.bias, spans, rows, values)
+    _conv_blocks(x, entry.kernel, entry.bias, spans, values, _workers)
     np.maximum(store, np.float32(0.0), out=store)
     return [(r0, c0, v.reshape(c_out, n, span)) for (r0, n, c0, span), v in zip(spans, values)]
 

@@ -224,8 +224,9 @@ def test_grid_search_contract(rng):
 
 @pytest.fixture(scope="module")
 def experiment_runs(tmp_path_factory):
-    """Two fresh CLI experiment runs on the bundled synthetic dataset."""
-    from scenefuse import cli
+    """Two fresh CLI experiment runs on the bundled synthetic dataset, at one and
+    at two conv workers: each run's report, feature caches and seconds."""
+    from scenefuse import cli, engine
     from scenefuse.synthetic import make_synthetic_dataset, stub_backend_pair
     from scenefuse.weights import save_weights
 
@@ -239,30 +240,34 @@ def experiment_runs(tmp_path_factory):
     save_weights(obj.weights, str(obj_w))
     save_weights(scn.weights, str(scn_w))
 
-    def one_run(out_dir):
+    def one_run(out_dir, threads):
         args = [
             "experiment", "--dataset", str(data_root),
             "--object-weights", str(obj_w), "--scene-weights", str(scn_w),
             "--protocol", "custom", "--train-per-class", "20",
             "--test-per-class", "10", "--repetitions", "2",
-            "--seed", "7", "--out", str(out_dir),
+            "--seed", "7", "--out", str(out_dir), "--threads", str(threads),
         ]
         started = time.perf_counter()
         rc = cli.main(args)
         elapsed = time.perf_counter() - started
         assert rc == 0
-        return (out_dir / "report.json").read_bytes(), elapsed
+        caches = {p.name: p.read_bytes() for p in (out_dir / "cache").glob("*.hdfc")}
+        return (out_dir / "report.json").read_bytes(), caches, elapsed
 
-    first, t1 = one_run(base / "run1")
-    second, t2 = one_run(base / "run2")
-    return first, second, t1, t2
+    workers = engine._workers  # main leaves --threads in force
+    first, first_caches, t1 = one_run(base / "run1", 1)
+    second, second_caches, t2 = one_run(base / "run2", 2)
+    engine.set_workers(workers)
+    return first, second, t1, t2, first_caches, second_caches
 
 
 @pytest.mark.criterion(8, "experiment: bit-identical JSON across runs, < 120 s")
 def test_end_to_end_determinism(experiment_runs, request):
-    first, second, t1, t2 = experiment_runs
+    first, second, t1, t2, first_caches, second_caches = experiment_runs
     request.node.user_properties.append(("runs", f"{t1:.1f} s and {t2:.1f} s of 120 s each"))
-    assert first == second, "reports differ between identical runs"
+    assert first == second, "reports differ between runs at 1 and 2 conv workers"
+    assert len(first_caches) == 4 and first_caches == second_caches
     assert t1 < 120.0, f"first run took {t1:.1f}s"
     assert t2 < 120.0, f"second run took {t2:.1f}s"
     doc = json.loads(first)

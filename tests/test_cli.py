@@ -595,14 +595,15 @@ class TestConfigValues:
 
 # the options each command once took and takes no longer: those it did not read,
 # bench's shape flags (bench times one fixed shape), validate-weights' --trunk
-# (a bundle's conv count picks its trunk), --threads where no BLAS call runs and
+# (a bundle's conv count picks its trunk), --threads where no convolution runs and
 # --config where no option is left to set
 REMOVED_OPTIONS = {
     "slice": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed",
               "--threads"),
     "extract": ("--seed",),
-    "train": ("--object-weights", "--scene-weights", "--pool", "--feature-type"),
-    "eval": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed"),
+    "train": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--threads"),
+    "eval": ("--object-weights", "--scene-weights", "--pool", "--feature-type", "--seed",
+             "--threads"),
     "experiment": ("--pool",),
     "validate-weights": ("--object-weights", "--scene-weights", "--pool", "--feature-type",
                          "--seed", "--out", "--trunk", "--threads", "--config"),
@@ -688,7 +689,7 @@ class TestOptionSurface:
     def test_settable_value_count(self):
         # the count the roadmap tracks: adding or removing an option changes it on purpose
         parsers = cli.commands(cli.build_parser()).values()
-        assert sum(a.dest != "help" for p in parsers for a in p._actions) == 42
+        assert sum(a.dest != "help" for p in parsers for a in p._actions) == 40
 
     def test_readme_lists_each_commands_options(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -887,20 +888,36 @@ class TestBenchAndConfig:
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
 
-    def test_bad_threads_rejected(self, cache_path, tmp_path):
-        rc = cli.main(["train", "--features", cache_path, "--out", str(tmp_path / "o"),
-                       "--threads", "0"])
+    def test_bad_threads_rejected(self, tiny_dataset, weight_files, tmp_path):
+        rc = cli.main(["extract", "--dataset", str(tiny_dataset[0]), "--object-weights",
+                       weight_files[0], "--scene-weights", weight_files[1],
+                       "--out", str(tmp_path / "o"), "--threads", "0"])
         assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_sets_the_conv_workers_of_one_run(self, tiny_dataset, weight_files,
+                                                      tmp_path, monkeypatch):
+        from scenefuse import engine
+
+        seen, matmul = [], np.matmul
+        for name in ("_workers", "_pool"):  # restored after the test
+            monkeypatch.setattr(engine, name, getattr(engine, name))
+        monkeypatch.setattr(engine.np, "matmul",
+                            lambda *a, **kw: seen.append(engine._workers) or matmul(*a, **kw))
+        assert cli.main(["extract", "--dataset", str(tiny_dataset[0]), "--object-weights",
+                         weight_files[0], "--scene-weights", weight_files[1], "--feature-type",
+                         "ow", "--out", str(tmp_path / "o"), "--threads", "3"]) == 0
+        assert seen and set(seen) == {3}
 
     def test_parser_leaves_numpy_unloaded(self, tmp_path):
-        # --threads pins the BLAS pools through the environment, which only
-        # works if numpy is not yet loaded when main applies it, after the
-        # parser is built and the config file read
+        # main pins the BLAS pools to one thread through the environment, which
+        # only works if numpy is not yet loaded when it does, after the parser
+        # is built and the config file read
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"threads": 1, "folds": 3}))
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = ("import sys, scenefuse.cli as cli; parser = cli.build_parser(); "
-                f"cli._read_config({str(cfg)!r}, cli.commands(parser)['train']); "
+                f"cli._read_config({str(cfg)!r}, cli.commands(parser)['experiment']); "
                 "sys.exit('numpy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)

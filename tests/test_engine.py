@@ -1,3 +1,7 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +23,17 @@ from oracles import (
     conv2d_loops, conv2d_loops_f32, conv2d_padded, gap_flat_sum, maxpool2_windows,
     normalized_max_error,
 )
+
+
+@contextlib.contextmanager
+def conv_workers(n):
+    """Run the block with `n` conv workers, then restore the count before."""
+    previous = engine._workers
+    engine.set_workers(n)
+    try:
+        yield
+    finally:
+        engine.set_workers(previous)
 
 
 def f32(*shape, rng=None, scale=1.0):
@@ -133,11 +148,14 @@ class TestConv2d:
         # conv2 of VGG16: the output, one block of columns and its padded band
         # of input rows take about 17.6 MB; a padded copy of the whole input
         # adds 13 MB more, and a whole-layer column matrix alone takes 115 MB
+        # for any worker count, since the workers share the block budget
         x = f32(64, 224, 224, rng=rng)
         kernel = f32(64, 64, 3, 3, rng=rng, scale=1 / 24)
         bias = f32(64, rng=rng)
-        _, peak = traced_peak(lambda: conv2d(x, kernel, bias))
-        assert peak < 20e6
+        for workers in (1, 2, 3):
+            with conv_workers(workers):
+                _, peak = traced_peak(lambda: conv2d(x, kernel, bias))
+            assert peak < 20e6, workers
 
     def test_translation_consistency(self, rng):
         x = f32(1, 8, 8, rng=rng)
@@ -525,3 +543,60 @@ class TestDeltaForwardsOnVgg16:
         _, single = traced_peak(lambda: forward_to_pool5(spec, bundle, views[0]))
         _, pair = traced_peak(lambda: forward_pair_to_pool5(spec, bundle, views[0], views[8]))
         assert pair <= 1.2 * single
+
+
+class TestConvWorkers:
+    def test_outputs_are_bit_identical_at_any_worker_count(self, vgg16_views, conv_layers,
+                                                         monkeypatch):
+        spec, bundle, zero, views = vgg16_views
+        threads, matmul = set(), np.matmul
+        monkeypatch.setattr(engine.np, "matmul",
+                            lambda *a, **kw: threads.add(threading.get_ident()) or matmul(*a, **kw))
+        outs, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave often; 3 workers on fewer cores too
+        try:
+            for workers in (1, 2, 3):
+                threads.clear()
+                with conv_workers(workers):
+                    outs[workers] = [conv2d(*conv_layers[layer][:3])
+                                     for layer in ((64, 224), (512, 14), (512, 5))]
+                    outs[workers] += [forward_to_pool5(spec, bundle, views[0]),
+                                      *forward_pair_to_pool5(spec, bundle, views[1], views[9]),
+                                      forward_delta_to_pool5(spec, bundle, views[4], zero)]
+                assert len(threads) == workers  # the caller and each pool thread ran blocks
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3):
+            for i, (got, want) in enumerate(zip(outs[workers], outs[1])):
+                assert got.tobytes() == want.tobytes(), (workers, i)
+
+    def test_a_workers_error_reaches_the_caller(self, conv_layers, monkeypatch):
+        x, kernel, bias, full = conv_layers[64, 224]
+        caller, matmul = threading.get_ident(), np.matmul
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise MemoryError("sgemm failed in a worker")
+            return matmul(*args, **kwargs)
+
+        with conv_workers(2):
+            monkeypatch.setattr(engine.np, "matmul", failing)
+            with pytest.raises(MemoryError, match="in a worker"):
+                conv2d(x, kernel, bias)
+            monkeypatch.undo()
+            out = conv2d(x, kernel, bias)
+        assert np.array_equal(np.maximum(out, np.float32(0.0)), full)
+
+    def test_light_convs_stay_on_the_callers_thread(self, conv_layers):
+        # VGG16's conv1_1 and the stub trunks' convs: under 128 multiply-adds per
+        # output. The pool is built on first use, so they never build it
+        with conv_workers(2):
+            conv2d(*conv_layers[3, 224][:3])
+            conv2d(f32(8, 224, 224), f32(4, 8, 3, 3), f32(4))
+            assert engine._pool is None
+            conv2d(*conv_layers[64, 224][:3])
+            assert engine._pool is not None
+
+    def test_worker_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            engine.set_workers(0)

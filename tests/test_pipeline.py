@@ -222,28 +222,25 @@ class TestExtractBaseFeatures:
         # makes every image fault those pages in again, about 15% of the time of a
         # stub extraction (ROADMAP, Parked). Counted in a fresh process at one BLAS
         # thread, as the benchmark runs.
-        code = textwrap.dedent("""
-            import json, resource
-            import numpy as np
-            from scenefuse.pipeline import extract_base_features
-            from scenefuse.synthetic import stub_backend_pair
-            backends = stub_backend_pair(23)
-            rasters = np.random.default_rng(0).integers(0, 256, (8, 64, 64, 3), np.uint8)
-            faults = []
-            for raster in rasters:
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                extract_base_features(*backends, raster)
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            print(json.dumps(faults))
-        """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
-        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
-               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        faults = json.loads(done.stdout)
+        faults, threads = minor_faults_per_image("backends = stub_backend_pair(23)")
         assert max(faults[1:]) < 500, f"minor faults per image: {faults}"
+        assert threads == 1  # the stub trunks' convs stay on the caller's thread
+
+    def test_images_after_the_first_take_no_fresh_pages_with_conv_workers(self):
+        # the same guard on a trunk whose third conv (16 inputs at 112x112, 4 blocks
+        # of rows) runs on two workers, whose threads may get their own arenas
+        faults, threads = minor_faults_per_image("""
+            from scenefuse import engine
+            from scenefuse.engine import POOL
+            from scenefuse.pipeline import Backend
+            from scenefuse.weights import random_bundle
+            engine.set_workers(2)
+            spec = (4, POOL, 16, 16, POOL, POOL, POOL, 512, POOL)
+            backends = [Backend(kind, spec, random_bundle(spec, seed=seed))
+                        for kind, seed in (("object", 23), ("scene", 24))]
+        """)
+        assert max(faults[1:]) < 500, f"minor faults per image: {faults}"
+        assert threads == 2
 
     def test_uint8_raster_gives_the_float32_copys_descriptors(self, rng, tmp_path):
         obj = tiny_backend("object", seed=1)
@@ -256,6 +253,33 @@ class TestExtractBaseFeatures:
         from_float = extract_base_features(obj, scn, raster.astype(np.float32))
         for source in SOURCES:
             assert np.array_equal(from_uint8[source], from_float[source]), source
+
+
+def minor_faults_per_image(setup: str) -> list:
+    """Minor page faults of each of 8 images' extraction in a fresh process at
+    one BLAS thread, with the `backends` that the `setup` code defines, and the
+    number of threads the process then has."""
+    code = textwrap.dedent("""
+        import json, resource, threading
+        import numpy as np
+        from scenefuse.pipeline import extract_base_features
+        from scenefuse.synthetic import stub_backend_pair
+    """) + textwrap.dedent(setup) + textwrap.dedent("""
+        rasters = np.random.default_rng(0).integers(0, 256, (8, 64, 64, 3), np.uint8)
+        faults = []
+        for raster in rasters:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            extract_base_features(*backends, raster)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(json.dumps([faults, threading.active_count()]))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 class TestAggregate:

@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scenefuse"
 ENTRY_POINTS = {"save_weights", "save_split", "make_synthetic_dataset", "stub_backend_pair"}
 # the lines of src/scenefuse/*.py, as `cat src/scenefuse/*.py | wc -l` counts them; a
 # change that must grow the package raises this in its own diff and says why
-MAX_SRC_LINES = 2975
+MAX_SRC_LINES = 3005
 
 
 def test_public_names_have_a_caller_in_src():
